@@ -255,10 +255,6 @@ def jacobi_symbol(a: int, m: int) -> int:
     return sign
 
 
-def jacobi_additive(a: int, m: int) -> int:
-    return (1 - jacobi_symbol(a, m)) // 2
-
-
 # ---------------------------------------------------------------------------
 # modular square roots
 # ---------------------------------------------------------------------------
@@ -302,15 +298,23 @@ def sqrt_mod(a: int, p: int) -> int:
 
 
 def sqrt_mod_prime_power(a: int, p: int, k: int) -> int:
-    """A root of x^2 = a mod p^k for a a unit square (odd p: Hensel lift)."""
+    """A root of x^2 = a mod p^k for a a unit square.
+
+    For odd p this is the unique lift of sqrt_mod(a, p), reached by Newton
+    steps that double the precision: p -> ... -> p^ceil(k/2) -> p^k.
+    """
     if p == 2:
         return _sqrt_mod_2k(a, k)
     x = sqrt_mod(a, p)
-    pk = p
-    while pk < p**k:
-        pk *= p
-        # Newton step: x <- x - (x^2 - a) / (2x) mod pk
-        x = (x - (x * x - a) * pow(2 * x, -1, pk)) % pk
+    precs = []
+    j = k
+    while j > 1:
+        precs.append(j)
+        j = (j + 1) // 2
+    for j in reversed(precs):
+        pj = p**j
+        # x is a root mod p^ceil(j/2), so one Newton step makes it one mod p^j
+        x = (x - (x * x - a) * pow(2 * x, -1, pj)) % pj
     return x % p**k
 
 
@@ -370,11 +374,3 @@ def hilbert_additive(a: int, b: int, place) -> int:
         res += legendre_additive(w, p)
     return res % 2
 
-
-def places_dividing(m: int) -> list:
-    """OO, 2 and the odd primes dividing m (m nonzero)."""
-    if m == 0:
-        raise ZeroArgument
-    ps: list = [OO, 2]
-    ps.extend(p for p, _ in factorize(abs(m)) if p != 2)
-    return ps

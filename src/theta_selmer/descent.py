@@ -27,6 +27,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 
 from .arith import (
     OO,
@@ -48,10 +49,6 @@ class Undecided(Exception):
         self.place = place
         self.depth = depth
         super().__init__(f"local solvability undecided at place {place} (depth {depth})")
-
-
-class UnsupportedPrime(Exception):
-    pass
 
 
 # ---------------------------------------------------------------------------
@@ -83,7 +80,7 @@ def curve_for(n: SquarefreeInteger | int, lam: TwoCoverClass) -> QuadricIntersec
     """Integral model of C_Lambda with content 1 in each quadric."""
     if isinstance(n, int):
         n = factor_squarefree(n)
-    encode_pair(lam.b1, lam.b2, n)  # raises UnsupportedPrime on bad support
+    encode_pair(lam.b1, lam.b2, n)  # raises monsky.UnsupportedPrime on bad support
     e1 = n.value
     e2 = -3 * n.value
     b1, b2 = lam.b1, lam.b2
@@ -430,8 +427,13 @@ def find_local_point(
     """A point of C_Lambda(Q_p) scaled by b1 b2 to integer coordinates.
 
     Returns ((T, U1, U2, U3), valid_prec): the coordinates of an actual
-    point, exact mod p^valid_prec with valid_prec >= prec.  Sampling is
-    randomised when rng is given, deterministic otherwise.
+    point, exact mod p^valid_prec with valid_prec >= prec.
+
+    Candidates (t : u3) are generated lazily and tested in a fixed order
+    (t = 0, 1, ... with u3 = 1, then u3 = 0, p, 2p, ... with t = 1), or as
+    up to 500 random draws from the same two charts when rng is given; the
+    first that passes is used, so memory does not grow with p.  If none
+    passes, the point is assembled at a p-adic root of one form.
     """
     c1, d1 = curve.f1
     c2, d2 = curve.f2
@@ -456,17 +458,18 @@ def find_local_point(
             bb * uu3 % pk,
         )
 
-    candidates: list[tuple[int, int]] = []
     span = max(p * 8, 64)
     if rng is None:
-        candidates.extend((tau, 1) for tau in range(span))
-        candidates.extend((1, p * sigma) for sigma in range(span // p + 2))
+        candidates = chain(
+            ((tau, 1) for tau in range(span)),
+            ((1, p * sigma) for sigma in range(span // p + 2)),
+        )
     else:
-        for _ in range(500):
-            if rng.random() < 0.5:
-                candidates.append((rng.randrange(span), 1))
-            else:
-                candidates.append((1, p * rng.randrange(span // p + 2)))
+        candidates = (
+            (rng.randrange(span), 1) if rng.random() < 0.5
+            else (1, p * rng.randrange(span // p + 2))
+            for _ in range(500)
+        )
     for tt, uu3 in candidates:
         pt = assemble(tt, uu3)
         if pt is not None:

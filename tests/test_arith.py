@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from theta_selmer import arith
@@ -19,6 +19,7 @@ from theta_selmer.arith import (
     sieve_primes,
     split_valuation,
     sqrt_mod,
+    sqrt_mod_prime_power,
 )
 
 PRIMES_1K = sieve_primes(1000)
@@ -114,6 +115,21 @@ def test_sqrt_mod_squares(p, a):
     r = sqrt_mod(sq, p)
     assert r * r % p == sq
     assert 1 <= r <= (p - 1) // 2
+
+
+@given(st.sampled_from(ODD_PRIMES), st.integers(1, 10**30), st.integers(1, 80))
+@example(3, 2, 1)
+@example(997, 10**30 - 1, 1)
+def test_sqrt_mod_prime_power_lifts_sqrt_mod(p, x, k):
+    # certificates stay byte-identical only while this root branch is kept
+    if x % p == 0:
+        return
+    a = x * x
+    r = sqrt_mod_prime_power(a, p, k)
+    pk = p**k
+    assert r * r % pk == a % pk
+    assert 0 <= r < pk
+    assert r % p == sqrt_mod(a, p)
 
 
 def test_hilbert_examples():

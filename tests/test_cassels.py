@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -13,6 +14,7 @@ from theta_selmer.cassels import (
     KIND_PARITY,
     KIND_S2EQ2,
     KIND_THM71,
+    KIND_UNKNOWN,
     ExcludedSmallN,
     HypothesisFailed,
     certify,
@@ -177,6 +179,19 @@ def test_certify_cassels_kinds():
     assert cert.evidence["sha"] == "(Z/2)^2"
     cert = certify(323, "2pi3")
     assert cert.kind == KIND_CASSELS
+
+
+def test_certify_large_prime_memory():
+    # 10000109 = 7 * 1428587: the local points at p = 1428587 must not
+    # hold O(p) candidates in memory
+    tracemalloc.start()
+    try:
+        cert = certify(10000109, "pi3")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert cert.kind == KIND_UNKNOWN and cert.s2 == 4
+    assert peak < 64 * 2**20
 
 
 def test_certify_excluded_small():

@@ -125,6 +125,8 @@ def test_find_local_point_randomised_still_on_curve():
     for p in (2, 3, 7, 29):
         (T, U1, U2, U3), prec = find_local_point(curve, p, 16, rng)
         pk = p**prec
+        ct, ca, cb = curve.h1
+        assert (ct * T * T + ca * U2 * U2 + cb * U3 * U3) % pk == 0
         ct, ca, cb = curve.h2
         assert (ct * T * T + ca * U1 * U1 + cb * U3 * U3) % pk == 0
 
