@@ -7,7 +7,9 @@ multiplicative symbols with values in {+1, -1} are mapped to F2 via
 
 from __future__ import annotations
 
+import itertools
 import math
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -85,18 +87,6 @@ def sieve_primes(limit: int) -> tuple[int, ...]:
         if mark[i]:
             mark[i * i :: i] = bytearray(len(mark[i * i :: i]))
     return tuple(i for i, m in enumerate(mark) if m)
-
-
-@lru_cache(maxsize=None)
-def smallest_prime_factors(limit: int) -> bytearray | list[int]:
-    """Smallest-prime-factor table for 2..limit (for bulk factoring)."""
-    spf = list(range(limit + 1))
-    for i in range(2, math.isqrt(limit) + 1):
-        if spf[i] == i:
-            for j in range(i * i, limit + 1, i):
-                if spf[j] == j:
-                    spf[j] = i
-    return spf
 
 
 def _pollard_rho(n: int) -> int:
@@ -182,6 +172,11 @@ class SquarefreeInteger:
     def eta(self) -> int:
         return self.sign * (2 if self.has_two else 1) * (3 if self.has_three else 1)
 
+    def __neg__(self) -> "SquarefreeInteger":
+        return SquarefreeInteger(
+            -self.value, -self.sign, self.has_two, self.has_three, self.odd_primes
+        )
+
 
 def factor_squarefree(n: int) -> SquarefreeInteger:
     """Decompose a nonzero squarefree integer; NotSquarefree(p) if p^2 | n."""
@@ -207,6 +202,32 @@ def factor_squarefree(n: int) -> SquarefreeInteger:
             raise NotSquarefree(p)
         primes.append(p)
     return SquarefreeInteger(n, sign, has_two, has_three, tuple(primes))
+
+
+def factor_range(limit: int):
+    """Yield SquarefreeInteger(m) for every squarefree 1 <= m <= limit, ascending.
+
+    One smallest-prime-factor sieve serves the whole range, so a scan
+    factors each m exactly once.
+    """
+    # 8 bytes an entry, where a list would hold a pointer and an int object
+    spf = array("l", range(limit + 1))
+    squarefree = bytearray([1]) * (limit + 1)
+    squarefree[0] = 0
+    # largest prime first, so each entry ends with its smallest prime factor
+    for p in reversed(sieve_primes(math.isqrt(limit))):
+        spf[p * p :: p] = array("l", [p]) * ((limit - p * p) // p + 1)
+        squarefree[p * p :: p * p] = bytes((limit - p * p) // (p * p) + 1)
+    for m in itertools.compress(range(limit + 1), squarefree):
+        k = m // 2 if m % 2 == 0 else m
+        if k % 3 == 0:
+            k //= 3
+        primes = []
+        while k > 1:
+            p = spf[k]
+            primes.append(p)
+            k //= p
+        yield SquarefreeInteger(m, 1, m % 2 == 0, m % 3 == 0, tuple(primes))
 
 
 def is_squarefree(n: int) -> bool:

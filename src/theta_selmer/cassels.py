@@ -538,19 +538,20 @@ def _f19_mprime(blocks):
     return gf2.block_assemble([[upper_left, a], [gf2.transpose(a), gf2.zeros(a.nrows, a.ncols)]])
 
 
-def pairing_f19(n: int, rng: random.Random | None = None, ternary_skip: int = 0,
-                with_torsion_checks: bool = False):
+def pairing_f19(n: SquarefreeInteger | int, rng: random.Random | None = None,
+                ternary_skip: int = 0, with_torsion_checks: bool = False):
     """<Lambda0, Lambda1> for the n = 19 mod 24, r4(-n) = 1 family.
 
     Computed three ways (closed form, solvability criterion, local sum);
     InternalDisagreement if they differ.  Returns (value, evidence dict).
     """
-    sf = factor_squarefree(n)
+    sf = n if isinstance(n, SquarefreeInteger) else factor_squarefree(n)
+    n = sf.value
     if n <= 0 or n % 24 != 19:
         raise HypothesisFailed("n = 19 mod 24 required")
     if sf.eta != 1:
         raise HypothesisFailed("n must be coprime to 6")
-    if classgroup.r4(-n) != 1:
+    if classgroup.r4(-sf) != 1:
         raise HypothesisFailed("r4(-n) = 1 required")
     mm = monsky.build_monsky(sf)
     s2 = monsky.selmer_rank(mm)
@@ -665,14 +666,7 @@ def pairing_f19(n: int, rng: random.Random | None = None, ternary_skip: int = 0,
         "local_transcript": transcript,
     }
     if with_torsion_checks:
-        checks = []
-        for tv in torsion_classes(sf)[1:3]:
-            tb3 = squarefree_part(tv.b1 * tv.b2)
-            value, _ = local_pairing_sum(curve, lines, (tv.b1, tv.b2, tb3), places, rng)
-            checks.append({"pi": [tv.b1, tv.b2], "pairing": value})
-            if value != 0:
-                raise InternalDisagreement(f"<Lambda0, {tv}> = {value} != 0")
-        evidence["torsion_pairings"] = checks
+        evidence["torsion_pairings"] = torsion_pairing_checks(curve, lines, places, sf, rng)
     return val_local, evidence
 
 
@@ -681,9 +675,9 @@ def pairing_f19(n: int, rng: random.Random | None = None, ternary_skip: int = 0,
 # ---------------------------------------------------------------------------
 
 
-def split_pq(m: int) -> tuple[int, int] | None:
+def split_pq(m: SquarefreeInteger | int) -> tuple[int, int] | None:
     """(p, q) with m = p*q, p = 1 mod 3, for squarefree semiprime m."""
-    sf = factor_squarefree(m)
+    sf = m if isinstance(m, SquarefreeInteger) else factor_squarefree(m)
     if sf.eta != 1 or sf.t != 2:
         return None
     p, q = sf.odd_primes
@@ -838,10 +832,11 @@ def certify(m: int, theta: str, rng: random.Random | None = None) -> Certificate
     if m <= 0:
         raise ValueError("m must be a positive tiling-number candidate")
     n = curve_argument(m, theta)
-    sf = factor_squarefree(n)
+    msf = factor_squarefree(m)
+    sf = msf if n == m else -msf
     mm = monsky.build_monsky(sf)
     s2 = monsky.selmer_rank(mm)
-    r4m = classgroup.r4(-m)
+    r4m = classgroup.r4(-msf)
     evidence: dict = {
         "n": n,
         "template": mm.template,
@@ -850,7 +845,7 @@ def certify(m: int, theta: str, rng: random.Random | None = None) -> Certificate
         "parity_predicted": monsky.predicted_parity(m, theta),
     }
 
-    pq = split_pq(m)
+    pq = split_pq(msf)
     family = None
     if theta == THETA_PI3 and m % 24 == 5 and pq:
         family = FAMILY_F5
@@ -877,7 +872,7 @@ def certify(m: int, theta: str, rng: random.Random | None = None) -> Certificate
         return Certificate(m, theta, KIND_S2EQ2, s2, evidence)
 
     if family == FAMILY_F19:
-        value, ev = pairing_f19(n, rng=rng)
+        value, ev = pairing_f19(sf, rng=rng)
         evidence["pairing"] = ev
         if value == 1:
             evidence["sha"] = "(Z/2)^2"

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 from . import gf2, monsky
 from .arith import (
@@ -18,6 +17,7 @@ from .arith import (
     factor_squarefree,
     factorize,
     hilbert_additive,
+    is_squarefree,
     legendre_additive,
 )
 from .gf2 import BitMatrix, BitVector
@@ -51,39 +51,39 @@ class QuadraticFieldData:
         return len(self.ramified_primes)
 
 
-def field_data(d: int) -> QuadraticFieldData:
+def field_data(d: SquarefreeInteger | int) -> QuadraticFieldData:
     """Fundamental data of Q(sqrt(d)) for squarefree d != 1."""
-    sf = factor_squarefree(d)
+    sf = d if isinstance(d, SquarefreeInteger) else factor_squarefree(d)
+    d = sf.value
     if d == 1:
         raise ValueError("d = 1 is not a quadratic field")
     disc = d if d % 4 == 1 else 4 * d
-    ram = []
-    if disc % 2 == 0:
-        ram.append(2)
-    if sf.has_three:
-        ram.append(3)
-    ram.extend(sf.odd_primes)
-    return QuadraticFieldData(d, disc, tuple(sorted(ram)))
+    # 2 < 3 < the odd primes, which come ascending: already sorted
+    ram = ((2,) if disc % 2 == 0 else ()) + ((3,) if sf.has_three else ()) + sf.odd_primes
+    return QuadraticFieldData(d, disc, ram)
 
 
-def redei_matrix(d: int) -> BitMatrix:
-    """R(d): entry (i, j) is the additive Hilbert symbol [p_j, d]_{p_i}."""
-    fd = field_data(d)
-    ps = fd.ramified_primes
+def _redei(fd: QuadraticFieldData) -> BitMatrix:
+    ps, d = fd.ramified_primes, fd.d
     return BitMatrix.from_rows(
         [[hilbert_additive(pj, d, pi) for pj in ps] for pi in ps], len(ps)
     )
 
 
-def r2(d: int) -> int:
+def redei_matrix(d: SquarefreeInteger | int) -> BitMatrix:
+    """R(d): entry (i, j) is the additive Hilbert symbol [p_j, d]_{p_i}."""
+    return _redei(field_data(d))
+
+
+def r2(d: SquarefreeInteger | int) -> int:
     """Genus theory: 2-rank of the narrow class group is t_ram - 1."""
     return field_data(d).t_ram - 1
 
 
-def r4(d: int) -> int:
+def r4(d: SquarefreeInteger | int) -> int:
     """4-rank of the narrow class group, r4 = t_ram - 1 - rank(R(d))."""
     fd = field_data(d)
-    return fd.t_ram - 1 - gf2.rank(redei_matrix(d))
+    return fd.t_ram - 1 - gf2.rank(_redei(fd))
 
 
 def splitting_divisor(n: SquarefreeInteger | int) -> tuple[int, BitVector]:
@@ -137,12 +137,8 @@ def r8_decision(n: SquarefreeInteger | int, d_star: int, c: int) -> int:
 
 def is_fundamental(D: int) -> bool:
     if D % 4 == 1:
-        from .arith import is_squarefree
-
         return is_squarefree(D)
     if D % 4 == 0:
-        from .arith import is_squarefree
-
         d = D // 4
         return d % 4 in (2, 3) and is_squarefree(d)
     return False
@@ -239,10 +235,14 @@ def reduced_forms(D: int) -> list[tuple[int, int, int]]:
 class ClassGroupStructure:
     discriminant: int
     order: int
-    invariant_factors: tuple[int, ...]
     r2: int
     r4: int
     r8: int
+
+    @property
+    def invariant_factors(self) -> tuple[int, ...]:
+        """Computed when read: it costs far more than the 2-power ranks."""
+        return _invariant_factors(reduced_forms(self.discriminant), self.discriminant)
 
 
 def forms_class_group(D: int) -> ClassGroupStructure:
@@ -255,9 +255,7 @@ def forms_class_group(D: int) -> ClassGroupStructure:
     r2_ = (len(torsion2)).bit_length() - 1
     r4_ = len(squares & torsion2).bit_length() - 1
     r8_ = len(fourths & torsion2).bit_length() - 1
-    return ClassGroupStructure(
-        D, h, _invariant_factors(forms, D), r2_, r4_, r8_
-    )
+    return ClassGroupStructure(D, h, r2_, r4_, r8_)
 
 
 def _invariant_factors(forms, D) -> tuple[int, ...]:

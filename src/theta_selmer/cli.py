@@ -12,8 +12,8 @@ import json
 import random
 import sys
 
-from . import cassels, descent, monsky, survey
-from .arith import ArithError, NotSquarefree, factor_squarefree, is_squarefree
+from . import cassels, descent, survey
+from .arith import ArithError, NotSquarefree
 from .monsky import THETA_2PI3, THETA_PI3
 
 EX_OK = 0
@@ -77,7 +77,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sc = sub.add_parser("selfcheck", help="erratum probes (informational)")
     sc.add_argument("--max", type=int, default=3000)
-    sc.add_argument("--seed", type=int, default=0)
     return p
 
 
@@ -177,7 +176,7 @@ def cmd_density(args) -> int:
 def cmd_selfcheck(args) -> int:
     from . import selfcheck
 
-    findings = selfcheck.run_all(max_n=args.max, seed=args.seed)
+    findings = selfcheck.run_all(max_n=args.max)
     print(json.dumps(findings, sort_keys=True, indent=2, default=str))
     return EX_OK
 

@@ -84,10 +84,6 @@ def ones_vec(n: int) -> BitVector:
     return BitVector(n, (1 << n) - 1)
 
 
-def unit_vec(n: int, i: int) -> BitVector:
-    return BitVector(n, 1 << i)
-
-
 @dataclass(frozen=True)
 class BitMatrix:
     nrows: int
@@ -179,40 +175,9 @@ def transpose(m: BitMatrix) -> BitMatrix:
     return BitMatrix(m.ncols, m.nrows, tuple(cols))
 
 
-def multiply(a: BitMatrix, b: BitMatrix) -> BitMatrix:
-    if a.ncols != b.nrows:
-        raise DimensionMismatch
-    out = []
-    for r in a.rows:
-        acc = 0
-        rr = r
-        while rr:
-            k = (rr & -rr).bit_length() - 1
-            acc ^= b.rows[k]
-            rr &= rr - 1
-        out.append(acc)
-    return BitMatrix(a.nrows, b.ncols, tuple(out))
-
-
 def outer_product(u: BitVector, v: BitVector) -> BitMatrix:
     """u^T v as a u.n x v.n matrix (rank <= 1)."""
     return BitMatrix(u.n, v.n, tuple(v.bits if (u.bits >> i) & 1 else 0 for i in range(u.n)))
-
-
-def row_sum(m: BitMatrix) -> BitVector:
-    """Sum of the rows (a length-ncols vector)."""
-    acc = 0
-    for r in m.rows:
-        acc ^= r
-    return BitVector(m.ncols, acc)
-
-
-def col_sum(m: BitMatrix) -> BitVector:
-    """Sum of the columns (a length-nrows vector)."""
-    bits = 0
-    for i, r in enumerate(m.rows):
-        bits |= (r.bit_count() & 1) << i
-    return BitVector(m.nrows, bits)
 
 
 # ---------------------------------------------------------------------------

@@ -169,8 +169,6 @@ _TEMPLATE_SCALAR_ROWS = {
 #   y-equations: [ r-1^T r2^T r3^T | O O O | A + D_{-eta} | O    ]
 # (D_1 = diag of [1/p_i] is zero, so eta = +-1 degenerates correctly).
 
-TEMPLATES = tuple(_TEMPLATE_SCALAR_ROWS)
-
 
 def select_template(n: SquarefreeInteger) -> str:
     """Template id from eta and the residue class of ntilde."""
@@ -270,14 +268,6 @@ class MonskyMatrix:
     @property
     def t(self) -> int:
         return self.n.t
-
-    def column_labels(self) -> list[str]:
-        t = self.t
-        return (
-            ["xi1", "xi2", "xi3", "gamma1", "gamma2", "gamma3"]
-            + [f"y{i+1}" for i in range(t)]
-            + [f"x{i+1}" for i in range(t)]
-        )
 
 
 def _scalar_entry(token: str, syms: dict) -> int:

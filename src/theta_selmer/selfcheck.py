@@ -5,11 +5,9 @@ informational; findings are data, not build failures.
 
 from __future__ import annotations
 
-import random
-
-from . import cassels, classgroup, descent, monsky, survey
-from .arith import OO, factor_squarefree, is_squarefree, legendre_additive
-from .monsky import THETA_2PI3, THETA_PI3, TwoCoverClass
+from . import cassels, classgroup, descent, survey
+from .arith import factor_range, factor_squarefree, legendre_additive
+from .monsky import TwoCoverClass
 
 
 def probe_2adic_tables(sample_n=(41, 73, 97)) -> dict:
@@ -64,13 +62,11 @@ def probe_f19_routes(max_n: int = 4000) -> dict:
     by_class: dict[str, list[int]] = {}
     first_vs_final = []
     scanned = []
-    for n in range(19, max_n + 1, 24):
-        if not is_squarefree(n):
+    for sf in factor_range(max_n):
+        n = sf.value
+        if n % 24 != 19 or sf.eta != 1 or classgroup.r4(-sf) != 1:
             continue
-        sf = factor_squarefree(n)
-        if sf.eta != 1 or classgroup.r4(-n) != 1:
-            continue
-        val, ev = cassels.pairing_f19(n)
+        val, ev = cassels.pairing_f19(sf)
         scanned.append(n)
         key = str(tuple(ev["d_class_mod8"]))
         by_class.setdefault(key, []).append(int(ev["closed_form_agrees"]))
@@ -97,10 +93,9 @@ def probe_pq_criterion(max_n: int = 6000) -> dict:
         agree = total = 0
         mismatches = []
         sign_fixes = []
-        for m in range(residue, max_n + 1, 24):
-            if not is_squarefree(m):
-                continue
-            pq = cassels.split_pq(m)
+        for sf in factor_range(max_n):
+            m = sf.value
+            pq = m % 24 == residue and cassels.split_pq(sf)
             if not pq or legendre_additive(*pq) != 0:
                 continue
             val, ev = cassels.pairing_pq(*pq, family)
@@ -149,11 +144,9 @@ def probe_r8_oracle(max_n: int = 4000) -> dict:
     reduced-forms oracle's 8-rank."""
     checked = []
     mismatches = []
-    for n in range(19, max_n + 1, 24):
-        if not is_squarefree(n):
-            continue
-        sf = factor_squarefree(n)
-        if sf.eta != 1 or classgroup.r4(-n) != 1:
+    for sf in factor_range(max_n):
+        n = sf.value
+        if n % 24 != 19 or sf.eta != 1 or classgroup.r4(-sf) != 1:
             continue
         d_star, _ = classgroup.splitting_divisor(sf)
         sol = cassels.solve_ternary("4c2=da2+(n/d)b2", (d_star, n))
@@ -173,8 +166,7 @@ def probe_r8_oracle(max_n: int = 4000) -> dict:
     }
 
 
-def run_all(max_n: int = 3000, seed: int = 0) -> dict:
-    random.seed(seed)
+def run_all(max_n: int = 3000) -> dict:
     return {
         "schema": survey.SCHEMA_VERSION,
         "probes": [

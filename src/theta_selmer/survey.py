@@ -11,7 +11,7 @@ import os
 from dataclasses import asdict, dataclass
 
 from . import cassels, classgroup, descent, monsky
-from .arith import factor_squarefree, is_squarefree, smallest_prime_factors
+from .arith import SquarefreeInteger, factor_range, factor_squarefree
 
 SCHEMA_VERSION = 1
 
@@ -60,16 +60,18 @@ class DensityReport:
         return {"schema": SCHEMA_VERSION, **asdict(self)}
 
 
-def analyze(m: int, theta: str, with_certificate: bool = True,
+def analyze(m: SquarefreeInteger | int, theta: str, with_certificate: bool = True,
             with_oracle: bool = False) -> SurveyRow:
     """Everything the survey records about one (m, theta)."""
+    msf = m if isinstance(m, SquarefreeInteger) else factor_squarefree(m)
+    m = msf.value
     n = monsky.curve_argument(m, theta)
-    sf = factor_squarefree(n)
+    sf = msf if n == m else -msf
     mm = monsky.build_monsky(sf)
     s2 = monsky.selmer_rank(mm)
     predicted = monsky.predicted_parity(m, theta)
     parity_ok = ("even" if s2 % 2 == 0 else "odd") == predicted
-    r4 = classgroup.r4(-m) if m != 1 else 0
+    r4 = classgroup.r4(-msf)
     kind = ""
     if with_certificate:
         try:
@@ -124,8 +126,7 @@ def scan_parity(max_n: int, jobs: int = 1):
     """Both thetas for every squarefree m <= max_n; failures must be empty."""
     items = [
         (m, theta)
-        for m in range(1, max_n + 1)
-        if is_squarefree(m)
+        for m in factor_range(max_n)
         for theta in (monsky.THETA_PI3, monsky.THETA_2PI3)
     ]
     rows = _pmap(_parity_one, items, jobs)
@@ -143,16 +144,15 @@ def scan_parity(max_n: int, jobs: int = 1):
     return report, failures, rows
 
 
-def _oracle_one(n: int):
-    sf = factor_squarefree(n)
+def _oracle_one(sf: SquarefreeInteger):
     s2 = monsky.selmer_rank(sf)
     dim = descent.oracle_selmer_dimension(sf)
-    return (n, s2, dim)
+    return (sf.value, s2, dim)
 
 
 def scan_oracle(max_n: int, jobs: int = 1):
     """Descent-oracle dimension vs Monsky rank for squarefree |n| <= max_n."""
-    items = [s * m for m in range(1, max_n + 1) if is_squarefree(m) for s in (1, -1)]
+    items = [n for m in factor_range(max_n) for n in (m, -m)]
     triples = _pmap(_oracle_one, items, jobs)
     failures = [
         {"n": n, "s2": s2, "oracle_dim": dim, "detail": diagnose_oracle_mismatch(n)}
@@ -212,29 +212,24 @@ def scan_r4_density(max_absD: int, jobs: int = 1) -> list[DensityReport]:
     D > 0 at k = 0, tolerance 1.5 points).  The k = 1 negative target comes
     from the displayed product formula.
     """
-    spf = smallest_prime_factors(max_absD)
+    counts = {-1: {}, 1: {}}
+    for m in factor_range(max_absD):
+        for d in (-m, m):
+            D = d.value if d.value % 4 == 1 else 4 * d.value
+            if 3 <= abs(D) <= max_absD:
+                r = classgroup.r4(d)
+                counts[d.sign][r] = counts[d.sign].get(r, 0) + 1
     reports = []
     for sign in (-1, 1):
-        counts: dict[int, int] = {}
-        total = 0
-        for a in range(3, max_absD + 1):
-            D = sign * a
-            if D % 4 not in (0, 1):
-                continue
-            d = D if D % 4 == 1 else D // 4
-            if not _is_fundamental_fast(D, d, spf):
-                continue
-            r = _r4_fast(d, spf)
-            counts[r] = counts.get(r, 0) + 1
-            total += 1
+        total = sum(counts[sign].values())
         for k, target in ((0, 0.288788 if sign < 0 else 0.144394),
                           (1, fk_density(1, sign))):
-            frac = counts.get(k, 0) / total if total else None
+            frac = counts[sign].get(k, 0) / total if total else None
             reports.append(
                 DensityReport(
                     population=f"fundamental {'D<0' if sign<0 else 'D>0'}, |D| <= {max_absD}, r4={k}",
                     size=total,
-                    counts={str(kk): v for kk, v in sorted(counts.items())},
+                    counts={str(kk): v for kk, v in sorted(counts[sign].items())},
                     fraction=frac,
                     target=target,
                     tolerance=0.015,
@@ -243,37 +238,6 @@ def scan_r4_density(max_absD: int, jobs: int = 1) -> list[DensityReport]:
                 )
             )
     return reports
-
-
-def _is_fundamental_fast(D: int, d: int, spf) -> bool:
-    if D % 4 == 0 and d % 4 not in (2, 3):
-        return False
-    m = abs(d)
-    while m > 1:
-        p = spf[m]
-        m //= p
-        if m % p == 0:
-            return False
-    return True
-
-
-def _r4_fast(d: int, spf):
-    """r4 via the Redei matrix, with factorisation from the sieve."""
-    from .arith import hilbert_additive
-    from . import gf2
-    from .gf2 import BitMatrix
-
-    m = abs(d)
-    ps = []
-    while m > 1:
-        p = spf[m]
-        ps.append(p)
-        m //= p
-    disc_even = d % 4 != 1
-    ram = sorted(set(ps) | ({2} if disc_even else set()))
-    rows = [[hilbert_additive(pj, d, pi) for pj in ram] for pi in ram]
-    t = len(ram)
-    return t - 1 - gf2.rank(BitMatrix.from_rows(rows, t))
 
 
 def _cert_one(args):
@@ -297,9 +261,9 @@ def scan_certification(family: str, max_n: int, jobs: int = 1) -> DensityReport:
         residue = 5 if fam == "f5" else 11
         theta = monsky.THETA_PI3 if fam == "f5" else monsky.THETA_2PI3
         items = [
-            (m, theta)
-            for m in range(residue, max_n + 1, 24)
-            if is_squarefree(m) and cassels.split_pq(m)
+            (m.value, theta)
+            for m in factor_range(max_n)
+            if m.value % 24 == residue and cassels.split_pq(m)
         ]
         results = _pmap(_cert_one, items, jobs)
         counts: dict[str, int] = {}
@@ -320,13 +284,12 @@ def scan_certification(family: str, max_n: int, jobs: int = 1) -> DensityReport:
     if fam in ("cor15", "cor16"):
         residues = (3, 7, 15, 19) if fam == "cor15" else (2, 3, 6, 11, 14, 18)
         theta = monsky.THETA_PI3 if fam == "cor15" else monsky.THETA_2PI3
-        items = []
-        for m in range(2, max_n + 1):
-            if m % 24 not in residues or not is_squarefree(m) or m in (2, 3, 6):
-                continue
-            if classgroup.r4(-m) != 0:
-                continue
-            items.append((m, theta))
+        items = [
+            (m.value, theta)
+            for m in factor_range(max_n)
+            if m.value % 24 in residues and m.value not in (2, 3, 6)
+            and classgroup.r4(-m) == 0
+        ]
         results = _pmap(_cert_one, items, jobs)
         counts = {}
         good = 0
@@ -371,14 +334,13 @@ def survey_range(max_n: int, thetas=(monsky.THETA_PI3, monsky.THETA_2PI3),
     min(oracle_max, 300), then one in fifty up to min(oracle_max, 1e4).
     """
     items = []
-    for m in range(1, max_n + 1):
-        if not is_squarefree(m):
-            continue
+    for sf in factor_range(max_n):
+        m = sf.value
         check = m <= min(oracle_max, 300) or (
             300 < m <= min(oracle_max, 10**4) and m % 50 == 19
         )
         for theta in thetas:
-            items.append((m, theta, with_certificates, check))
+            items.append((sf, theta, with_certificates, check))
     return _pmap(_survey_one, items, jobs)
 
 

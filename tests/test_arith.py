@@ -11,9 +11,11 @@ from theta_selmer.arith import (
     NotCoprime,
     NotSquarefree,
     ZeroArgument,
+    factor_range,
     factor_squarefree,
     hilbert_additive,
     is_prime,
+    is_squarefree,
     jacobi_symbol,
     legendre_additive,
     sieve_primes,
@@ -44,6 +46,14 @@ def test_factor_squarefree_rejects_12():
     with pytest.raises(NotSquarefree) as exc:
         factor_squarefree(12)
     assert exc.value.p == 2
+
+
+def test_factor_range_matches_factor_squarefree():
+    # the sieve and trial division / Pollard rho are independent factor paths
+    want = [factor_squarefree(m) for m in range(1, 3001) if is_squarefree(m)]
+    assert list(factor_range(3000)) == want
+    assert list(factor_range(0)) == []
+    assert [-sf for sf in want[:200]] == [factor_squarefree(-sf.value) for sf in want[:200]]
 
 
 def test_factor_squarefree_invariants_random():

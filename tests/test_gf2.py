@@ -14,7 +14,6 @@ from theta_selmer.gf2 import (
     diag,
     identity,
     kernel_basis,
-    multiply,
     outer_product,
     rank,
     solve,
@@ -147,20 +146,6 @@ def test_vector_ops():
     assert diag(u).to_lists() == [[1, 0, 0], [0, 0, 0], [0, 0, 1]]
     assert outer_product(u, v).to_lists() == [[1, 1, 0], [0, 0, 0], [1, 1, 0]]
     assert col_vec(u).to_lists() == [[1], [0], [1]]
-
-
-def test_multiply_and_sums():
-    rng = random.Random(17)
-    for _ in range(25):
-        a = random_matrix(rng, 4, 6)
-        b = random_matrix(rng, 6, 5)
-        ab = multiply(a, b)
-        for i in range(4):
-            for j in range(5):
-                want = sum(a.entry(i, k) * b.entry(k, j) for k in range(6)) % 2
-                assert ab.entry(i, j) == want
-        assert gf2.row_sum(a) == a.vec_mul(gf2.ones_vec(4))
-        assert gf2.col_sum(a) == a.mul_vec(gf2.ones_vec(6))
 
 
 @given(st.integers(0, 6), st.integers(0, 6), st.integers(0, 2**36 - 1))

@@ -4,7 +4,8 @@ import sys
 
 import pytest
 
-from theta_selmer import cassels, cli, survey
+from theta_selmer import cassels, classgroup, cli, survey
+from theta_selmer.arith import factor_squarefree, is_squarefree
 from theta_selmer.monsky import THETA_2PI3, THETA_PI3
 
 
@@ -46,7 +47,7 @@ def test_scan_parity_small():
 def test_scan_oracle_small():
     failures, triples = survey.scan_oracle(30)
     assert not failures
-    assert len(triples) == 2 * len([m for m in range(1, 31) if survey.is_squarefree(m)])
+    assert len(triples) == 2 * len([m for m in range(1, 31) if is_squarefree(m)])
 
 
 def test_determinism_and_parallel_equals_serial():
@@ -64,6 +65,24 @@ def test_density_report_shape():
     assert "D<0" in neg0.population and neg0.size > 0
     total = sum(neg0.counts.values())
     assert total == neg0.size
+
+
+def test_density_negative_histogram_matches_forms_oracle():
+    # the scan's Redei r4 against the reduced-forms class group, D by D
+    want: dict[str, int] = {}
+    for D in range(-3000, -2):
+        if classgroup.is_fundamental(D):
+            k = str(classgroup.forms_class_group(D).r4)
+            want[k] = want.get(k, 0) + 1
+    neg0, neg1 = survey.scan_r4_density(3000)[:2]
+    assert neg0.counts == neg1.counts == want
+    assert neg0.size == sum(want.values())
+
+
+@pytest.mark.parametrize("m", [1, 2, 5, 30, 41, 221, 365, 979])
+def test_analyze_accepts_factored_m(m):
+    for theta in (THETA_PI3, THETA_2PI3):
+        assert survey.analyze(factor_squarefree(m), theta) == survey.analyze(m, theta)
 
 
 def test_certification_scan_small():
