@@ -312,9 +312,9 @@ def _check_tangency(quad, variables, point, line):
             assert g1 * l2 == g2 * l1, "line is not tangent at the point"
 
 
-def _tangents_f19(n: int, d: int, sol: TernarySolution):
+def _tangents_f19(n: SquarefreeInteger, d: int, sol: TernarySolution):
     a, b, c = sol.a, sol.b, sol.c
-    nd = n // d
+    nd = n.value // d
     lines = (
         (2 * nd * b, 0, -a, -2 * c),
         (0, 1, 0, -1),
@@ -327,15 +327,14 @@ def _tangents_f19(n: int, d: int, sol: TernarySolution):
     return curve, lines
 
 
-def _tangents_pq(n_signed: int, p: int, q: int, sol: TernarySolution):
+def _tangents_pq(n: SquarefreeInteger, p: int, q: int, sol: TernarySolution):
     a, b, c = sol.a, sol.b, sol.c
-    sign = 1 if n_signed > 0 else -1
     lines = (
         (0, 0, 1, -1),
         None,  # H2's line is never needed: b2' = 1 kills its terms
-        (-sign * q * b, a, -c, 0),
+        (-n.sign * q * b, a, -c, 0),
     )
-    curve = descent.curve_for(n_signed, TwoCoverClass(1, p))
+    curve = descent.curve_for(n, TwoCoverClass(1, p))
     _check_tangency(curve.h1, ("t", "u2", "u3"), (0, 1, 1), lines[0])
     _check_tangency(curve.h3, ("t", "u1", "u2"), (b, p * a, c), lines[2])
     return curve, lines
@@ -641,7 +640,7 @@ def pairing_f19(n: SquarefreeInteger | int, rng: random.Random | None = None,
     # C_(d,1) at n = 979 and n = 1771 force pairing 0 where the matrix
     # routes give 1.  Disagreement is reported as an erratum finding, not
     # an error.
-    curve, lines = _tangents_f19(n, d_star, sol)
+    curve, lines = _tangents_f19(sf, d_star, sol)
     b1p, b2p = lam1.b1, lam1.b2
     b3p = squarefree_part(b1p * b2p)
     places = [OO, 2, 3, *sf.odd_primes]
@@ -751,7 +750,7 @@ def pairing_pq(p: int, q: int, family: str, rng: random.Random | None = None,
             break
     if b1p is None:
         raise InternalDisagreement(f"no Selmer class of shape (3^e q, 1) at n={n}")
-    curve, lines = _tangents_pq(n_signed, p, q, sol)
+    curve, lines = _tangents_pq(sfn, p, q, sol)
     lam_vec = encode_pair(1, p, sfn)
     if not mm.matrix.mul_vec(lam_vec).is_zero():
         raise InternalDisagreement("(1, p) is not a Selmer class")

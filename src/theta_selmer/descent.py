@@ -19,10 +19,18 @@ decided rigorously: a residue class either determines the square classes
 of both forms, or it is refined, and classes clinging to a p-adic root
 of a form are settled by computing the root itself.  Any residual
 ambiguity raises Undecided loudly instead of guessing.
+
+The answer at a place v depends only on the classes of b1 and b2 in
+Q_v^*/Q_v^*2: replacing b1 by b1 s^2 maps a point to one with u1, u3
+scaled by s (and b2 by b2 s^2 scales u2, u3), a Q_v-isomorphism of
+C_Lambda.  So the enumeration decides each place once per local class
+(at most 4 at oo, 64 at 2 and 16 at an odd p) and reuses the verdict
+for every candidate in that class.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -37,7 +45,7 @@ from .arith import (
     sqrt_mod_prime_power,
 )
 from .gf2 import BitVector
-from .monsky import TwoCoverClass, decode_vector, encode_pair, torsion_classes
+from .monsky import TwoCoverClass, basis_pairs, decode_vector, encode_pair, torsion_classes
 
 
 class TooLarge(Exception):
@@ -70,8 +78,6 @@ class QuadricIntersection:
 
 
 def _clear_content(coeffs: tuple[int, int, int]) -> tuple[int, int, int]:
-    import math
-
     g = math.gcd(math.gcd(abs(coeffs[0]), abs(coeffs[1])), abs(coeffs[2]))
     return tuple(c // g for c in coeffs)  # type: ignore[return-value]
 
@@ -363,11 +369,40 @@ def everywhere_locally_solvable(curve: QuadricIntersection) -> bool:
     return True
 
 
+def _local_class(b: int, place) -> int:
+    """Additive bits of b in Q_v^*/Q_v^*2: the sign at oo, (v mod 2,
+    non-residue) at an odd p, (v mod 2, eps, omega) at 2."""
+    if place == OO:
+        return int(b < 0)
+    v, u = split_valuation(b, place)
+    if place == 2:
+        return (v & 1) | ((u - 1) >> 1 & 1) << 1 | ((u * u - 1) >> 3 & 1) << 2
+    return (v & 1) | (pow(u, (place - 1) // 2, place) != 1) << 1
+
+
+def _class_table(n: SquarefreeInteger, place) -> bytearray:
+    """Local class key of (b1, b2) at the place for every candidate vector.
+
+    Bit i of a vector multiplies (b1, b2) by monsky.basis_pairs(n)[i]; the
+    key packs the class of b1 in its low three bits and that of b2 in the
+    next three.
+    """
+    contrib = [_local_class(g1, place) | _local_class(g2, place) << 3
+               for g1, g2 in basis_pairs(n)]
+    tab = bytearray(1 << len(contrib))
+    for bits in range(1, len(tab)):
+        low = bits & -bits
+        tab[bits] = tab[bits ^ low] ^ contrib[low.bit_length() - 1]
+    return tab
+
+
 def selmer_group_oracle(n: SquarefreeInteger | int, check_closure: bool = True):
     """All of Sel_2(E_n) by enumerating every candidate (b1, b2).
 
     Returns (members, vectors): the everywhere-locally-solvable classes
-    and their encodings.  Enumeration is 2^(2t+6) curves, so t <= 4.
+    and their encodings.  Enumeration is 2^(2t+6) candidates, so t <= 4;
+    each place is decided once per local class of (b1, b2), on the first
+    candidate in ascending order that reaches it.
     """
     if isinstance(n, int):
         n = factor_squarefree(n)
@@ -375,13 +410,22 @@ def selmer_group_oracle(n: SquarefreeInteger | int, check_closure: bool = True):
     if t > 4:
         raise TooLarge(f"oracle enumeration needs t <= 4, got t={t}")
     dim = 2 * t + 6
+    local = [(place, _class_table(n, place), {}) for place in place_set(n)]
     members: list[TwoCoverClass] = []
     vectors: list[BitVector] = []
     for bits in range(1 << dim):
-        v = BitVector(dim, bits)
-        lam = decode_vector(v, n)
-        if everywhere_locally_solvable(curve_for(n, lam)):
-            members.append(lam)
+        curve = None  # built on the first place whose class is new
+        for place, tab, verdicts in local:
+            key = tab[bits]
+            if key not in verdicts:
+                if curve is None:
+                    curve = curve_for(n, decode_vector(BitVector(dim, bits), n))
+                verdicts[key] = locally_solvable(curve, place)
+            if not verdicts[key]:
+                break
+        else:
+            v = BitVector(dim, bits)
+            members.append(decode_vector(v, n) if curve is None else curve.lam)
             vectors.append(v)
     if check_closure:
         got = {v.bits for v in vectors}
@@ -539,8 +583,6 @@ def _rational_with_square_between(lo, hi, x_target: Fraction):
 
 
 def _isqrt_fraction(x: Fraction, bits: int) -> Fraction:
-    import math
-
     scale = 1 << bits
     num = x.numerator * scale * scale
     den = x.denominator

@@ -388,20 +388,21 @@ def encode_pair(b1: int, b2: int, n: SquarefreeInteger) -> BitVector:
     return head.concat(y).concat(x)
 
 
+def basis_pairs(n: SquarefreeInteger) -> list[tuple[int, int]]:
+    """(b1, b2) of each basis vector of (xi | gamma | y | x)."""
+    ps = n.odd_primes
+    return [(1, -1), (1, 2), (1, 3), (-1, 1), (2, 1), (3, 1),
+            *((1, p) for p in ps), *((p, 1) for p in ps)]
+
+
 def decode_vector(v: BitVector, n: SquarefreeInteger) -> TwoCoverClass:
-    t = n.t
-    if v.n != 2 * t + 6:
+    if v.n != 2 * n.t + 6:
         raise gf2.DimensionMismatch
-    s1, s2, s3, g1, g2, g3 = (v[i] for i in range(6))
-    y = v.slice(6, 6 + t)
-    x = v.slice(6 + t, 6 + 2 * t)
-    b1 = (-1) ** g1 * 2**g2 * 3**g3
-    b2 = (-1) ** s1 * 2**s2 * 3**s3
-    for i, p in enumerate(n.odd_primes):
-        if x[i]:
-            b1 *= p
-        if y[i]:
-            b2 *= p
+    b1 = b2 = 1
+    for i, (g1, g2) in enumerate(basis_pairs(n)):
+        if v.bits >> i & 1:
+            b1 *= g1
+            b2 *= g2
     return TwoCoverClass(b1, b2)
 
 

@@ -205,7 +205,7 @@ def fk_density(k: int, sign: int) -> float:
     return num / den
 
 
-def scan_r4_density(max_absD: int, jobs: int = 1) -> list[DensityReport]:
+def scan_r4_density(max_absD: int) -> list[DensityReport]:
     """Empirical r4 distribution over fundamental discriminants |D| <= bound.
 
     Targets are the pinned acceptance numbers (28.87% for D < 0 and 14.43% for

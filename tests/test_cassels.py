@@ -116,8 +116,8 @@ def test_pairing_pq_hypotheses():
 def test_pq_torsion_checks():
     p, q = 13, 17
     sol = solve_ternary("px2-qy2=z2", (p, q))
-    curve, lines = cassels._tangents_pq(221, p, q, sol)
     sf = factor_squarefree(221)
+    curve, lines = cassels._tangents_pq(sf, p, q, sol)
     checks = cassels.torsion_pairing_checks(curve, lines, [OO, 2, 3, p, q], sf)
     assert [c["pairing"] for c in checks] == [0, 0]
 

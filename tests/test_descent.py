@@ -3,17 +3,19 @@ import random
 import pytest
 
 from theta_selmer import descent, monsky
-from theta_selmer.arith import OO, factor_squarefree, is_squarefree, sieve_primes
+from theta_selmer.arith import OO, factor_range, factor_squarefree, is_squarefree, sieve_primes
 from theta_selmer.descent import (
     TooLarge,
     curve_for,
     everywhere_locally_solvable,
     find_local_point,
+    is_square_in_qp,
     locally_solvable,
     oracle_selmer_dimension,
     place_set,
     selmer_group_oracle,
 )
+from theta_selmer.gf2 import BitVector
 from theta_selmer.monsky import TwoCoverClass
 
 
@@ -77,6 +79,52 @@ def test_oracle_too_large():
     n = 5 * 7 * 11 * 13 * 17
     with pytest.raises(TooLarge):
         selmer_group_oracle(factor_squarefree(n))
+
+
+def _signed(limit):
+    return [x for m in factor_range(limit) for x in (m, -m)]
+
+
+def test_local_class_is_the_square_class():
+    # additive, and zero exactly on the squares: so equal keys mean
+    # b / b' is a square in Q_v
+    for place in (OO, 2, 3, 5, 7, 13):
+        for b in range(-60, 61):
+            if b == 0:
+                continue
+            assert (descent._local_class(b, place) == 0) == is_square_in_qp(b, place), (b, place)
+            for c in (-3, -1, 2, 5, 6, 7, 10, 13, 15):
+                assert descent._local_class(b * c, place) == (
+                    descent._local_class(b, place) ^ descent._local_class(c, place)
+                ), (b, c, place)
+
+
+def test_oracle_memo_matches_direct_enumeration():
+    extra = [factor_squarefree(n) for n in (385, 770, 1365, 5005)]
+    for sf in _signed(150) + extra:
+        dim = 2 * sf.t + 6
+        direct = [
+            BitVector(dim, bits)
+            for bits in range(1 << dim)
+            if everywhere_locally_solvable(
+                curve_for(sf, monsky.decode_vector(BitVector(dim, bits), sf))
+            )
+        ]
+        members, vectors = selmer_group_oracle(sf)
+        assert vectors == direct, sf.value
+        assert members == [monsky.decode_vector(v, sf) for v in direct], sf.value
+
+
+def test_local_solvability_constant_on_local_classes():
+    for sf in _signed(60):
+        dim = 2 * sf.t + 6
+        for place in place_set(sf):
+            tab = descent._class_table(sf, place)
+            verdicts = {}
+            for bits in range(1 << dim):
+                lam = monsky.decode_vector(BitVector(dim, bits), sf)
+                ok = locally_solvable(curve_for(sf, lam), place)
+                assert verdicts.setdefault(tab[bits], ok) == ok, (sf.value, place, lam)
 
 
 def test_good_prime_spot_checks():
