@@ -39,7 +39,7 @@ from .monsky import (
     TwoCoverClass,
     curve_argument,
     encode_pair,
-    squarefree_part,
+    squarefree_product,
     torsion_classes,
 )
 
@@ -389,7 +389,7 @@ def torsion_pairing_checks(curve, lines, places, n_sf, rng=None):
         lines = (lines[0], complete_h2_line(curve), lines[2])
     out = []
     for tv in torsion_classes(n_sf)[1:3]:
-        tb3 = squarefree_part(tv.b1 * tv.b2)
+        tb3 = squarefree_product(tv.b1, tv.b2)
         value, _ = local_pairing_sum(curve, lines, (tv.b1, tv.b2, tb3), places, rng)
         out.append({"pi": [tv.b1, tv.b2], "pairing": value})
         if value != 0:
@@ -642,7 +642,7 @@ def pairing_f19(n: SquarefreeInteger | int, rng: random.Random | None = None,
     # an error.
     curve, lines = _tangents_f19(sf, d_star, sol)
     b1p, b2p = lam1.b1, lam1.b2
-    b3p = squarefree_part(b1p * b2p)
+    b3p = squarefree_product(b1p, b2p)
     places = [OO, 2, 3, *sf.odd_primes]
     val_local, transcript = local_pairing_sum(curve, lines, (b1p, b2p, b3p), places, rng)
 
@@ -740,7 +740,9 @@ def pairing_pq(p: int, q: int, family: str, rng: random.Random | None = None,
     # The printed 3^u / (-1)^u recipes do not always land in Sel_2 (for
     # [-1/p] = 1 the F11 recipe misses), and pairing against a non-Selmer
     # class is not even well defined, so the sign is read off ker M_n.
-    sfn = factor_squarefree(n_signed)
+    # pq = 5 or 11 mod 24 is prime to 6, so p and q are all of n's primes
+    sign = 1 if n_signed > 0 else -1
+    sfn = SquarefreeInteger(n_signed, sign, False, False, tuple(sorted((p, q))))
     mm = monsky.build_monsky(sfn)
     recipe_b1p = (3**u) * q if family == FAMILY_F5 else (-1) ** u * q
     b1p = None

@@ -34,7 +34,6 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import chain
 
 from .arith import (
@@ -87,6 +86,11 @@ def curve_for(n: SquarefreeInteger | int, lam: TwoCoverClass) -> QuadricIntersec
     if isinstance(n, int):
         n = factor_squarefree(n)
     encode_pair(lam.b1, lam.b2, n)  # raises monsky.UnsupportedPrime on bad support
+    return _curve(n, lam)
+
+
+def _curve(n: SquarefreeInteger, lam: TwoCoverClass) -> QuadricIntersection:
+    """curve_for without the support check, for classes known to be valid."""
     e1 = n.value
     e2 = -3 * n.value
     b1, b2 = lam.b1, lam.b2
@@ -108,12 +112,12 @@ def place_set(n: SquarefreeInteger) -> list:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _qr_table(p: int) -> bytes:
-    tab = bytearray(p)
-    for x in range(1, p):
-        tab[x * x % p] = 1
-    return bytes(tab)
+def _is_qr(u: int, p: int) -> bool:
+    """Whether the p-adic unit u is a square: u = 1 mod 8 at 2, Euler's
+    criterion at an odd p."""
+    if p == 2:
+        return u % 8 == 1
+    return pow(u, (p - 1) // 2, p) == 1
 
 
 def is_square_in_qp(x: int, place) -> bool:
@@ -124,11 +128,7 @@ def is_square_in_qp(x: int, place) -> bool:
         return x > 0
     p = place
     v, u = split_valuation(x, p)
-    if v % 2:
-        return False
-    if p == 2:
-        return u % 8 == 1
-    return _qr_table(p)[u % p] == 1
+    return v % 2 == 0 and _is_qr(u, p)
 
 
 # ---------------------------------------------------------------------------
@@ -152,11 +152,7 @@ def _status(c: int, d: int, tau0: int, k: int, p: int, margin: int) -> int:
         bound = min(k + split_valuation(2 * c * tau0, p)[0], 2 * k + vc)
     if v + margin > bound:
         return _UNKNOWN
-    if v % 2:
-        return _NONSQUARE
-    if p == 2:
-        return _SQUARE if u % 8 == 1 else _NONSQUARE
-    return _SQUARE if _qr_table(p)[u % p] else _NONSQUARE
+    return _SQUARE if v % 2 == 0 and _is_qr(u, p) else _NONSQUARE
 
 
 def _zp_roots(c: int, d: int, p: int, prec: int) -> list[int]:
@@ -168,10 +164,7 @@ def _zp_roots(c: int, d: int, p: int, prec: int) -> list[int]:
         return []
     pk = p**prec
     u = (-ud * pow(uc, -1, pk)) % pk
-    if p == 2:
-        if u % 8 != 1:
-            return []
-    elif not _qr_table(p)[u % p]:
+    if not _is_qr(u, p):
         return []
     root = sqrt_mod_prime_power(u, p, prec)
     rho = (root * p ** (w // 2)) % pk
@@ -201,13 +194,7 @@ class _FormRoots:
             margin = 3 if p == 2 else 1
             if v + margin > prec:
                 raise Undecided(place, prec)
-            if v % 2:
-                good = False
-            elif p == 2:
-                good = u % 8 == 1
-            else:
-                good = bool(_qr_table(p)[u % p])
-            self.items.append((rho, good, v + margin))
+            self.items.append((rho, v % 2 == 0 and _is_qr(u, p), v + margin))
 
     def status_on(self, tau0: int, k: int, margin: int):
         """(kind, payload): ('root', (rho, good, stable_at)) if a root lies
@@ -226,27 +213,43 @@ class _FormRoots:
         if k - e1 < margin or k - e2 < margin or max(e1, e2) + margin > self.prec:
             return "unknown", None
         vcs, ucs = split_valuation(self.cs, p)
-        v = vcs + e1 + e2
-        if v % 2:
-            return "class", _NONSQUARE
-        uu = ucs * u1 * u2
-        if p == 2:
-            return "class", _SQUARE if uu % 8 == 1 else _NONSQUARE
-        return "class", _SQUARE if _qr_table(p)[uu % p] else _NONSQUARE
+        square = (vcs + e1 + e2) % 2 == 0 and _is_qr(ucs * u1 * u2, p)
+        return "class", _SQUARE if square else _NONSQUARE
 
 
-def _chart_point(c1, d1, c2, d2, p: int, seed_k: int, place) -> int | None:
-    """A tau with both forms square-or-zero in Z_p (tau in p^seed_k Z_p),
-    or None.  Deterministic depth-first refinement; residue classes that
-    the generic value bound cannot settle are decided through the p-adic
-    roots of the forms."""
+def _children(tau0: int, k: int, p: int, first: list[int]):
+    """The p balls tau0 + j p^k + p^(k+1) Z_p, lazily, digits in first leading."""
+    step = p**k
+    for j in chain(first, (j for j in range(p) if j not in first)):
+        yield tau0 + j * step, k + 1
+
+
+def _chart_point(c1, d1, c2, d2, p: int, seed_k: int, place):
+    """A witness that both forms are squares-or-zero somewhere on p^seed_k Z_p,
+    or None.
+
+    The witness is (tau0, k, i):
+      - i None, k an int: both forms have a constant square class on the
+        ball tau0 + p^k Z_p, so every tau in it will do;
+      - i None, k None: tau0 itself will do, and a form is zero there;
+      - i = 0 or 1: form i has a root in tau0 + p^k Z_p at which the other
+        form is a square or zero.
+
+    Deterministic depth-first refinement over lazily generated child balls,
+    those holding a root of a form first; residue classes that the generic
+    value bound cannot settle are decided through the p-adic roots.
+    """
     margin = 3 if p == 2 else 1
     prec = split_valuation(4 * c1 * d1 * c2 * d2, p)[0] + 8 * margin + 40
     max_depth = prec - margin - 6
-    roots1 = roots2 = None
-    stack = [(0, seed_k)]
+    roots = None
+    stack = [iter([(0, seed_k)])]
     while stack:
-        tau0, k = stack.pop()
+        ball = next(stack[-1], None)
+        if ball is None:
+            stack.pop()
+            continue
+        tau0, k = ball
         s1 = _status(c1, d1, tau0, k, p, margin)
         if s1 == _NONSQUARE:
             continue
@@ -257,60 +260,55 @@ def _chart_point(c1, d1, c2, d2, p: int, seed_k: int, place) -> int | None:
             w1 = c1 * tau0 * tau0 + d1
             w2 = c2 * tau0 * tau0 + d2
             if is_square_in_qp(w1, p) and is_square_in_qp(w2, p):
-                return tau0
+                return tau0, None, None
         if s1 == _SQUARE and s2 == _SQUARE:
-            return tau0
+            return tau0, k, None
         # at least one form is unresolved on this ball: consult its roots
-        if roots1 is None:
-            roots1 = _FormRoots(c1, d1, c2, d2, p, prec, place)
-            roots2 = _FormRoots(c2, d2, c1, d1, p, prec, place)
-        refine = False
-        resolved = []
-        for s, rts in ((s1, roots1), (s2, roots2)):
+        if roots is None:
+            roots = (_FormRoots(c1, d1, c2, d2, p, prec, place),
+                     _FormRoots(c2, d2, c1, d1, p, prec, place))
+        unresolved = False
+        for i, s in enumerate((s1, s2)):
             if s == _SQUARE:
-                resolved.append(True)
                 continue
-            kind, payload = rts.status_on(tau0, k, margin)
+            kind, payload = roots[i].status_on(tau0, k, margin)
             if kind == "class":
                 if payload == _NONSQUARE:
-                    resolved = None
                     break
-                resolved.append(True)
-            elif kind == "root":
-                rho, good, stable = payload
+                continue
+            if kind == "root":
+                _rho, good, stable = payload
                 if k >= stable:
                     if good:
-                        return rho
-                    resolved = None  # Nonsquare in a whole neighbourhood
-                    break
-                refine = True
-                resolved.append(False)
-            else:
-                refine = True
-                resolved.append(False)
-        if resolved is None:
-            continue
-        if all(resolved):
-            return tau0
-        assert refine
-        if k >= max_depth:
-            raise Undecided(place, k)
-        step = p**k
-        for j in range(p - 1, -1, -1):
-            stack.append((tau0 + j * step, k + 1))
+                        return tau0, k, i
+                    break  # nonsquare in a whole neighbourhood
+            unresolved = True
+        else:
+            if not unresolved:
+                return tau0, k, None
+            if k >= max_depth:
+                raise Undecided(place, k)
+            step = p**k
+            near = sorted({(rho - tau0) // step % p for rts in roots
+                           for rho, _, _ in rts.items if (rho - tau0) % step == 0})
+            stack.append(_children(tau0, k, p, near))
     return None
 
 
 def _finite_witness(curve: QuadricIntersection, p: int):
-    """(tau_t, tau_u3) integer pair with both F_i square-or-zero, or None."""
+    """(swapped, witness) for the first chart with a point, or None.
+
+    The t-chart (tau : 1) is searched first, then (1 : sigma) with sigma in
+    p Z_p (swapped); the witness is _chart_point's.
+    """
     c1, d1 = curve.f1
     c2, d2 = curve.f2
-    tau = _chart_point(c1, d1, c2, d2, p, 0, p)
-    if tau is not None:
-        return (tau, 1)
-    sigma = _chart_point(d1, c1, d2, c2, p, 1, p)
-    if sigma is not None:
-        return (1, sigma)
+    wit = _chart_point(c1, d1, c2, d2, p, 0, p)
+    if wit is not None:
+        return False, wit
+    wit = _chart_point(d1, c1, d2, c2, p, 1, p)
+    if wit is not None:
+        return True, wit
     return None
 
 
@@ -377,7 +375,7 @@ def _local_class(b: int, place) -> int:
     v, u = split_valuation(b, place)
     if place == 2:
         return (v & 1) | ((u - 1) >> 1 & 1) << 1 | ((u * u - 1) >> 3 & 1) << 2
-    return (v & 1) | (pow(u, (place - 1) // 2, place) != 1) << 1
+    return (v & 1) | (not _is_qr(u, place)) << 1
 
 
 def _class_table(n: SquarefreeInteger, place) -> bytearray:
@@ -419,7 +417,7 @@ def selmer_group_oracle(n: SquarefreeInteger | int, check_closure: bool = True):
             key = tab[bits]
             if key not in verdicts:
                 if curve is None:
-                    curve = curve_for(n, decode_vector(BitVector(dim, bits), n))
+                    curve = _curve(n, decode_vector(BitVector(dim, bits), n))
                 verdicts[key] = locally_solvable(curve, place)
             if not verdicts[key]:
                 break
@@ -473,75 +471,36 @@ def find_local_point(
     Returns ((T, U1, U2, U3), valid_prec): the coordinates of an actual
     point, exact mod p^valid_prec with valid_prec >= prec.
 
-    Candidates (t : u3) are generated lazily and tested in a fixed order
-    (t = 0, 1, ... with u3 = 1, then u3 = 0, p, 2p, ... with t = 1), or as
-    up to 500 random draws from the same two charts when rng is given; the
-    first that passes is used, so memory does not grow with p.  If none
-    passes, the point is assembled at a p-adic root of one form.
+    The point is read off the witness of the chart search behind
+    locally_solvable.  On a witness ball, where both forms have a constant
+    square class, (t : u3) is the ball's least residue tau0, or with rng a
+    random point of the ball; the square roots are lifted with padic_sqrt.
+    At a root of a form, the root is recomputed to precision and that
+    form's u is 0.  With rng, the signs of the square roots are random too.
     """
+    wit = _finite_witness(curve, p)
+    if wit is None:
+        raise ValueError(f"no {p}-adic point on {curve.lam}")
+    swapped, (tau, k, root_of) = wit
     c1, d1 = curve.f1
     c2, d2 = curve.f2
-    b1, b2 = curve.lam.b1, curve.lam.b2
-    bb = b1 * b2
-    pk = p**prec
+    if root_of is not None:
+        c, d = (curve.f1, curve.f2)[root_of]
+        # k is past the depth where the other form's class is stable, so
+        # this precision also fixes that class at the recomputed root
+        roots = _zp_roots(*((d, c) if swapped else (c, d)), p, max(prec, k) + 12)
+        tau = next(rho for rho in roots if (rho - tau) % p**k == 0)
+    elif k is not None and rng is not None:
+        tau += p**k * rng.randrange(p * p)
+    t, u3 = (1, tau) if swapped else (tau, 1)
+    u2s = 0 if root_of == 0 else padic_sqrt(c1 * t * t + d1 * u3 * u3, p, prec + 4)
+    u1s = 0 if root_of == 1 else padic_sqrt(c2 * t * t + d2 * u3 * u3, p, prec + 4)
     sgn1 = 1 if rng is None else rng.choice((1, -1))
     sgn2 = 1 if rng is None else rng.choice((1, -1))
-
-    def assemble(tt: int, uu3: int):
-        w1 = c1 * tt * tt + d1 * uu3 * uu3
-        w2 = c2 * tt * tt + d2 * uu3 * uu3
-        if not (is_square_in_qp(w1, p) and is_square_in_qp(w2, p)):
-            return None
-        u2s = padic_sqrt(w1, p, prec + 4)
-        u1s = padic_sqrt(w2, p, prec + 4)
-        # b2*u2 = sqrt(F1), b1*u1 = sqrt(F2); scale everything by b1*b2
-        return (
-            bb * tt % pk,
-            b2 * u1s * sgn2 % pk,
-            b1 * u2s * sgn1 % pk,
-            bb * uu3 % pk,
-        )
-
-    span = max(p * 8, 64)
-    if rng is None:
-        candidates = chain(
-            ((tau, 1) for tau in range(span)),
-            ((1, p * sigma) for sigma in range(span // p + 2)),
-        )
-    else:
-        candidates = (
-            (rng.randrange(span), 1) if rng.random() < 0.5
-            else (1, p * rng.randrange(span // p + 2))
-            for _ in range(500)
-        )
-    for tt, uu3 in candidates:
-        pt = assemble(tt, uu3)
-        if pt is not None:
-            return pt, prec
-    # Sampling failed: the good locus clings to a root of one form, where
-    # the exact point has u1 or u2 equal to 0.  Recompute the roots to a
-    # generous precision and assemble there.
-    root_prec = prec + 12
-    rpk = p**root_prec
-    cases = [
-        (c1, d1, c2, d2, False, 1),  # roots of F1 in the t-chart
-        (c2, d2, c1, d1, False, 2),  # roots of F2 in the t-chart
-        (d1, c1, d2, c2, True, 1),
-        (d2, c2, d1, c1, True, 2),
-    ]
-    for cs, ds, co, do, swapped, _which in cases:
-        for rho in _zp_roots(cs, ds, p, root_prec):
-            val = (co * rho * rho + do) % rpk
-            if not is_square_in_qp(val, p):
-                continue
-            tt, uu3 = (1, rho) if swapped else (rho, 1)
-            w1 = (c1 * tt * tt + d1 * uu3 * uu3) % rpk
-            w2 = (c2 * tt * tt + d2 * uu3 * uu3) % rpk
-            u2s = padic_sqrt(w1, p, prec + 4) if w1 and is_square_in_qp(w1, p) else 0
-            u1s = padic_sqrt(w2, p, prec + 4) if w2 and is_square_in_qp(w2, p) else 0
-            pt = (bb * tt % pk, b2 * u1s * sgn2 % pk, b1 * u2s * sgn1 % pk, bb * uu3 % pk)
-            return pt, prec
-    raise ValueError(f"no {p}-adic point found on {curve.lam}")
+    # b2*u2 = sqrt(F1), b1*u1 = sqrt(F2); scale everything by b1*b2
+    b1, b2 = curve.lam.b1, curve.lam.b2
+    pk = p**prec
+    return (b1 * b2 * t % pk, b2 * u1s * sgn2 % pk, b1 * u2s * sgn1 % pk, b1 * b2 * u3 % pk), prec
 
 
 def find_real_point(curve: QuadricIntersection, rng: random.Random | None = None):

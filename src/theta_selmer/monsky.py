@@ -16,13 +16,13 @@ tokens: m1 = [-1/ntilde], q2 = [2/ntilde], m3 = [-3/ntilde].
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from . import gf2
 from .arith import (
     SquarefreeInteger,
     factor_squarefree,
-    factorize,
     legendre_additive,
 )
 from .gf2 import BitMatrix, BitVector
@@ -347,16 +347,15 @@ class TwoCoverClass:
 
     def mul(self, other: "TwoCoverClass") -> "TwoCoverClass":
         return TwoCoverClass(
-            squarefree_part(self.b1 * other.b1), squarefree_part(self.b2 * other.b2)
+            squarefree_product(self.b1, other.b1), squarefree_product(self.b2, other.b2)
         )
 
 
-def squarefree_part(m: int) -> int:
-    out = -1 if m < 0 else 1
-    for p, e in factorize(abs(m)):
-        if e % 2:
-            out *= p
-    return out
+def squarefree_product(a: int, b: int) -> int:
+    """The squarefree part of a*b for squarefree a and b: the common primes
+    cancel in pairs, so no factorisation is needed."""
+    g = math.gcd(a, b)
+    return (a // g) * (b // g)
 
 
 def _encode_component(b: int, n: SquarefreeInteger) -> tuple[int, int, int, BitVector]:
@@ -411,9 +410,9 @@ def torsion_classes(n: SquarefreeInteger) -> list[TwoCoverClass]:
     nv = n.value
     return [
         TwoCoverClass(1, 1),
-        TwoCoverClass(-3, squarefree_part(-nv)),
-        TwoCoverClass(squarefree_part(nv), 1),
-        TwoCoverClass(squarefree_part(-3 * nv), squarefree_part(-nv)),
+        TwoCoverClass(-3, -nv),
+        TwoCoverClass(nv, 1),
+        TwoCoverClass(squarefree_product(-3, nv), -nv),
     ]
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import random
@@ -6,7 +7,7 @@ import tracemalloc
 import pytest
 
 from theta_selmer import cassels, classgroup, descent, monsky
-from theta_selmer.arith import OO, factor_squarefree, legendre_additive
+from theta_selmer.arith import OO, factor_range, factor_squarefree, legendre_additive
 from theta_selmer.cassels import (
     FAMILY_F5,
     FAMILY_F11,
@@ -192,6 +193,36 @@ def test_certify_large_prime_memory():
         tracemalloc.stop()
     assert cert.kind == KIND_UNKNOWN and cert.s2 == 4
     assert peak < 64 * 2**20
+
+
+# The certified answers of the families scan in [9e4, 1e5): kinds, s2, the
+# pairing value and the XOR of each place's local terms.  Transcripts may
+# change (points, lines, precisions), these may not.
+FAMILIES_PROJECTION = "d502603cccdcbd24a11397db5fd1dc71b8cf8edc1f6e6ddf24aaf2dad508e3a4"
+
+
+def test_families_projection_unchanged():
+    h = hashlib.sha256()
+    for sf in factor_range(99999):
+        m = sf.value
+        if m < 90000:
+            continue
+        if m % 24 in (5, 11) and sf.t == 2:
+            theta = "pi3" if m % 24 == 5 else "2pi3"
+        elif m % 24 == 19:
+            theta = "pi3"
+        else:
+            continue
+        cert = certify(m, theta)
+        pairing = cert.evidence.get("pairing")
+        local_sum, places = None, ()
+        if pairing is not None:
+            local_sum = pairing["routes"]["local_sum"]
+            places = tuple(
+                (str(rec["place"]), sum(rec["terms"]) % 2) for rec in pairing["local_transcript"]
+            )
+        h.update(repr((m, theta, cert.kind, cert.s2, local_sum, places)).encode())
+    assert h.hexdigest() == FAMILIES_PROJECTION
 
 
 def test_certify_excluded_small():

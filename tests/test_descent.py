@@ -154,29 +154,80 @@ def test_good_primes_for_nontrivial_classes():
             assert locally_solvable(curve, p), (lam, p)
 
 
+# (n, Lambda, places): the last two inputs give root witnesses of the chart
+# search, in the (1 : sigma) chart at 2 and at a large p where the good
+# locus hugs a root of F2
+LOCAL_POINT_CASES = [
+    (221, TwoCoverClass(13, 1), (2, 3, 13, 17)),
+    (-203, TwoCoverClass(1, 7), (2, 3, 7, 29)),
+    (-10, TwoCoverClass(6, 1), (2, 5)),
+    (-97355, TwoCoverClass(1, 19471), (19471,)),
+]
+
+
+def _assert_on_curve(curve, point, p, prec):
+    T, U1, U2, U3 = point
+    pk = p**prec
+    ct, ca, cb = curve.h1
+    assert (ct * T * T + ca * U2 * U2 + cb * U3 * U3) % pk == 0, (curve.lam, p)
+    ct, ca, cb = curve.h2
+    assert (ct * T * T + ca * U1 * U1 + cb * U3 * U3) % pk == 0, (curve.lam, p)
+
+
 def test_find_local_point_on_curve():
-    sf = factor_squarefree(221)
-    curve = curve_for(sf, TwoCoverClass(13, 1))
-    for p in (2, 3, 13, 17):
-        (T, U1, U2, U3), prec = find_local_point(curve, p, 20)
-        pk = p**prec
-        ct, ca, cb = curve.h1
-        assert (ct * T * T + ca * U2 * U2 + cb * U3 * U3) % pk == 0
-        ct, ca, cb = curve.h2
-        assert (ct * T * T + ca * U1 * U1 + cb * U3 * U3) % pk == 0
+    for n, lam, places in LOCAL_POINT_CASES:
+        curve = curve_for(factor_squarefree(n), lam)
+        for p in places:
+            point, prec = find_local_point(curve, p, 20)
+            assert prec >= 20
+            _assert_on_curve(curve, point, p, prec)
 
 
 def test_find_local_point_randomised_still_on_curve():
-    sf = factor_squarefree(-203)
-    curve = curve_for(sf, TwoCoverClass(1, 7))
     rng = random.Random(5)
-    for p in (2, 3, 7, 29):
-        (T, U1, U2, U3), prec = find_local_point(curve, p, 16, rng)
-        pk = p**prec
-        ct, ca, cb = curve.h1
-        assert (ct * T * T + ca * U2 * U2 + cb * U3 * U3) % pk == 0
-        ct, ca, cb = curve.h2
-        assert (ct * T * T + ca * U1 * U1 + cb * U3 * U3) % pk == 0
+    for n, lam, places in LOCAL_POINT_CASES:
+        curve = curve_for(factor_squarefree(n), lam)
+        for p in places:
+            for _ in range(3):
+                point, prec = find_local_point(curve, p, 16, rng)
+                _assert_on_curve(curve, point, p, prec)
+
+
+def test_chart_search_visits_the_root_balls_first(monkeypatch):
+    # the good locus hugs a root of F2: a walk of the children in residue
+    # order makes 13,049 status calls here
+    calls = 0
+    status = descent._status
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return status(*args)
+
+    monkeypatch.setattr(descent, "_status", counted)
+    assert locally_solvable(curve_for(-97355, TwoCoverClass(1, 19471)), 19471)
+    assert calls < 100, calls
+
+
+def test_witness_balls_hold_square_values():
+    # every tau of a witness ball makes both forms squares (or zero)
+    rng = random.Random(11)
+    balls = 0
+    for sf in rng.sample([sf for sf in _signed(300) if sf.t <= 2], 8):
+        members, _ = selmer_group_oracle(sf)
+        for lam in members:
+            curve = curve_for(sf, lam)
+            for p in place_set(sf)[1:]:
+                swapped, (tau0, k, root_of) = descent._finite_witness(curve, p)
+                if k is None or root_of is not None:
+                    continue
+                balls += 1
+                for _ in range(4):
+                    tau = tau0 + p**k * rng.randrange(p**6)
+                    t, u3 = (1, tau) if swapped else (tau, 1)
+                    for c, d in (curve.f1, curve.f2):
+                        assert is_square_in_qp(c * t * t + d * u3 * u3, p), (sf.value, lam, p, tau)
+    assert balls > 50
 
 
 def test_real_point_data():

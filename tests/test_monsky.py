@@ -123,8 +123,8 @@ def test_selmer_basis_n5():
         b1, b2 = 1, 1
         for j, c in enumerate(basis):
             if (i >> j) & 1:
-                b1 = monsky.squarefree_part(b1 * c.b1)
-                b2 = monsky.squarefree_part(b2 * c.b2)
+                b1 = monsky.squarefree_product(b1, c.b1)
+                b2 = monsky.squarefree_product(b2, c.b2)
         span.add((b1, b2))
     assert span == {(1, 1), (-3, -5), (5, 1), (-15, -5)}
 
@@ -136,8 +136,8 @@ def test_selmer_basis_n1_contains_torsion():
         b1, b2 = 1, 1
         for j, c in enumerate(basis):
             if (i >> j) & 1:
-                b1 = monsky.squarefree_part(b1 * c.b1)
-                b2 = monsky.squarefree_part(b2 * c.b2)
+                b1 = monsky.squarefree_product(b1, c.b1)
+                b2 = monsky.squarefree_product(b2, c.b2)
         span.add((b1, b2))
     assert (-3, -1) in span
 
