@@ -256,6 +256,19 @@ def legendre_additive(a: int, p: int) -> int:
     return (1 - legendre_symbol(a, p)) // 2
 
 
+def legendre_table(primes) -> list[int]:
+    """Bit j of row i is [p_j/p_i] over distinct odd primes, bit i is 0: one
+    Euler-criterion pow per unordered pair, the transposed entry by quadratic
+    reciprocity, [p_i/p_j] = [p_j/p_i] + eps(p_i) eps(p_j)."""
+    rows = [0] * len(primes)
+    for i, p in enumerate(primes):
+        for j, q in enumerate(primes[:i]):
+            s = pow(q, (p - 1) >> 1, p) != 1  # [q/p]
+            rows[i] |= s << j
+            rows[j] |= (s ^ (p & q & 2) >> 1) << i
+    return rows
+
+
 def jacobi_symbol(a: int, m: int) -> int:
     """Jacobi symbol (a/m) for odd m > 0, by the binary algorithm."""
     if m <= 0 or m % 2 == 0:
@@ -355,11 +368,13 @@ def _sqrt_mod_2k(a: int, k: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _eps(u: int) -> int:
+def eps(u: int) -> int:
+    """epsilon(u) = (u - 1)/2 mod 2 for odd u: the [-1/p] of an odd prime p."""
     return (u - 1) // 2 % 2
 
 
-def _omega(u: int) -> int:
+def omega(u: int) -> int:
+    """omega(u) = (u^2 - 1)/8 mod 2 for odd u: the [2/p] of an odd prime p."""
     return (u * u - 1) // 8 % 2
 
 
@@ -387,8 +402,8 @@ def hilbert_additive(a: int, b: int, place) -> int:
     alpha, u = split_valuation(a, p)
     beta, w = split_valuation(b, p)
     if p == 2:
-        return (_eps(u) * _eps(w) + alpha * _omega(w) + beta * _omega(u)) % 2
-    res = alpha * beta * _eps(p)
+        return (eps(u) * eps(w) + alpha * omega(w) + beta * omega(u)) % 2
+    res = alpha * beta * eps(p)
     if beta % 2:
         res += legendre_additive(u, p)
     if alpha % 2:

@@ -118,17 +118,6 @@ def _raw_solutions(quad_a: int, quad_b: int, bound: int, want: int):
     return out
 
 
-def _flip_signs(a, b, c, want_flags):
-    """Try the eight sign patterns against the wanted congruence flags."""
-    for sa in (1, -1):
-        for sb in (1, -1):
-            for sc in (1, -1) if c else (1,):
-                cand = (sa * a, sb * b, sc * c)
-                if all(check(*cand) for check in want_flags):
-                    return cand
-    return None
-
-
 def transform_minus(p: int, q: int, a: int, b: int, c: int):
     """The conic automorph for p a^2 - q b^2 = c^2, content cleared."""
     aa = -(p + q) * a + 2 * q * b
@@ -532,7 +521,6 @@ def _f19_mprime(blocks):
     a = blocks.a_matrix
     r1 = blocks.r_vec(-1)
     r3 = blocks.r_vec(3)
-    rm3 = blocks.r_vec(-3)
     upper_left = blocks.d_diag(-3) + gf2.outer_product(r1, r1) + gf2.outer_product(r3, r3)
     return gf2.block_assemble([[upper_left, a], [gf2.transpose(a), gf2.zeros(a.nrows, a.ncols)]])
 

@@ -1,9 +1,11 @@
 """2-power ranks of (narrow) class groups of quadratic fields.
 
 Production path: the Redei matrix of Hilbert symbols over the ramified
-primes, whose corank gives the 4-rank.  Independent oracle: enumeration
-of reduced binary quadratic forms under Gauss composition (negative
-discriminants only), from which r2/r4/r8 are read off the 2-Sylow.
+primes, whose corank gives the 4-rank; its entries are read off one
+pairwise Legendre table by reciprocity and the product formula.
+Independent oracle: enumeration of reduced binary quadratic forms under
+Gauss composition (negative discriminants only), from which r2/r4/r8 are
+read off the 2-Sylow.
 """
 
 from __future__ import annotations
@@ -14,11 +16,13 @@ from dataclasses import dataclass
 from . import gf2, monsky
 from .arith import (
     SquarefreeInteger,
+    eps,
     factor_squarefree,
     factorize,
-    hilbert_additive,
     is_squarefree,
     legendre_additive,
+    legendre_table,
+    omega,
 )
 from .gf2 import BitMatrix, BitVector
 
@@ -64,10 +68,30 @@ def field_data(d: SquarefreeInteger | int) -> QuadraticFieldData:
 
 
 def _redei(fd: QuadraticFieldData) -> BitMatrix:
-    ps, d = fd.ramified_primes, fd.d
-    return BitMatrix.from_rows(
-        [[hilbert_additive(pj, d, pi) for pj in ps] for pi in ps], len(ps)
-    )
+    """R(d) as packed rows from closed forms, with d = sign 2^a w and w odd.
+
+    Odd rows: the Legendre table, omega(p_i) in the column of 2, and on the
+    diagonal eps(p_i) [d > 0] + a omega(p_i) + sum_{k != i} [p_k/p_i] (product
+    formula).  The row of 2, when 2 ramifies: [p_j, d]_2 = eps(p_j) eps(w)
+    + a omega(p_j), and [2, d]_2 = omega(w).
+    """
+    d, ps = fd.d, fd.ramified_primes
+    two = ps[0] == 2
+    odd = ps[1:] if two else ps
+    a = 1 - d % 2
+    w = d >> a
+    rows = legendre_table(odd)
+    top = omega(w)
+    for i, p in enumerate(odd):
+        e, o = eps(p), omega(p)
+        row = rows[i] | ((e & (d > 0)) ^ (a & o) ^ (rows[i].bit_count() & 1)) << i
+        if two:
+            row = row << 1 | o
+            top |= ((e & eps(w)) ^ (a & o)) << (i + 1)
+        rows[i] = row
+    if two:
+        rows.insert(0, top)
+    return BitMatrix(len(ps), len(ps), tuple(rows))
 
 
 def redei_matrix(d: SquarefreeInteger | int) -> BitMatrix:
@@ -216,7 +240,7 @@ def reduced_forms(D: int) -> list[tuple[int, int, int]]:
     out = []
     amax = math.isqrt(-D // 3) if D < -3 else 1
     for a in range(1, amax + 1):
-        for b in range(-a + 1, a + 1):
+        for b in range(-a + 1 + (a + 1 - D) % 2, a + 1, 2):  # b = D mod 2
             num = b * b - D
             if num % (4 * a):
                 continue

@@ -93,8 +93,7 @@ class BitMatrix:
     def __post_init__(self):
         if len(self.rows) != self.nrows:
             raise DimensionMismatch("row count mismatch")
-        mask = (1 << self.ncols) - 1
-        if any(r < 0 or r & ~mask for r in self.rows):
+        if self.rows and (min(self.rows) < 0 or max(self.rows) >> self.ncols):
             raise ValueError("row bits outside declared width")
 
     @staticmethod

@@ -24,6 +24,7 @@ from .arith import (
     SquarefreeInteger,
     factor_squarefree,
     legendre_additive,
+    legendre_table,
 )
 from .gf2 import BitMatrix, BitVector
 
@@ -233,25 +234,12 @@ def symbol_vector(n: SquarefreeInteger, d: int) -> BitVector:
 
 def build_blocks(n: SquarefreeInteger) -> Blocks:
     """A with a_ij = [p_j/p_i] off-diagonal and row sums zero, plus the r_d."""
-    ps = n.odd_primes
-    t = len(ps)
-    rows = []
-    for i, p in enumerate(ps):
-        bits = 0
-        for j, q in enumerate(ps):
-            if i != j and legendre_additive(q, p):
-                bits |= 1 << j
-        if bits.bit_count() & 1:
-            bits |= 1 << i  # a_ii = sum of the off-diagonal row entries
-        rows.append(bits)
-    a = BitMatrix(t, t, tuple(rows))
+    rows = legendre_table(n.odd_primes)
+    for i, bits in enumerate(rows):  # a_ii = sum of the off-diagonal row entries
+        rows[i] |= (bits.bit_count() & 1) << i
+    a = BitMatrix(n.t, n.t, tuple(rows))
     r = {d: symbol_vector(n, d) for d in (1, -1, 2, -2, 3, -3, 6, -6)}
     return Blocks(n, a, r)
-
-
-def ntilde_symbol(n: SquarefreeInteger, d: int) -> int:
-    """[d/ntilde] = sum of [d/p_i]; zero for ntilde = 1 by convention."""
-    return sum(legendre_additive(d, p) for p in n.odd_primes) % 2
 
 
 # ---------------------------------------------------------------------------
@@ -284,10 +272,10 @@ def build_monsky(n: SquarefreeInteger | int) -> MonskyMatrix:
     template = select_template(n)
     blocks = build_blocks(n)
     t = n.t
-    syms = {
-        "m1": ntilde_symbol(n, -1),
-        "q2": ntilde_symbol(n, 2),
-        "m3": ntilde_symbol(n, -3),
+    syms = {  # [d/ntilde] = sum of the [d/p_i], so zero for ntilde = 1
+        "m1": blocks.r_vec(-1).weight() & 1,
+        "q2": blocks.r_vec(2).weight() & 1,
+        "m3": blocks.r_vec(-3).weight() & 1,
     }
     vecs = {
         "0": gf2.zeros_vec(t),
@@ -344,11 +332,6 @@ class TwoCoverClass:
 
     b1: int
     b2: int
-
-    def mul(self, other: "TwoCoverClass") -> "TwoCoverClass":
-        return TwoCoverClass(
-            squarefree_product(self.b1, other.b1), squarefree_product(self.b2, other.b2)
-        )
 
 
 def squarefree_product(a: int, b: int) -> int:

@@ -217,3 +217,13 @@ def test_jacobi_matches_legendre():
             if a % p == 0:
                 continue
             assert jacobi_symbol(a, p) == (1 if legendre_additive(a, p) == 0 else -1)
+
+
+@given(st.lists(st.sampled_from(ODD_PRIMES), max_size=9, unique=True))
+def test_legendre_table_matches_symbols(primes):
+    rows = arith.legendre_table(primes)
+    for i, p in enumerate(primes):
+        want = sum(
+            legendre_additive(q, p) << j for j, q in enumerate(primes) if j != i
+        )
+        assert rows[i] == want

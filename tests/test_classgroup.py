@@ -1,7 +1,9 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from theta_selmer import classgroup, gf2
-from theta_selmer.arith import factor_squarefree, hilbert_additive, is_squarefree
+from theta_selmer.arith import factor_squarefree, hilbert_additive, is_prime, is_squarefree
 from theta_selmer.classgroup import (
     PositiveDiscriminant,
     RankMismatch,
@@ -34,6 +36,48 @@ def test_redei_matrix_minus5():
     ]
     assert m.to_lists() == want
     assert m.to_lists() == [[1, 0], [1, 0]]
+
+
+def hilbert_redei(d: int) -> list[list[int]]:
+    """R(d) from its definition: entry (i, j) is [p_j, d]_{p_i}."""
+    ps = field_data(d).ramified_primes
+    return [[hilbert_additive(pj, d, pi) for pj in ps] for pi in ps]
+
+
+def test_redei_matrix_matches_hilbert_definition():
+    for m in range(2, 3001):
+        if is_squarefree(m):
+            for d in (m, -m):
+                assert redei_matrix(d).to_lists() == hilbert_redei(d), d
+
+
+def _prime_at_least(x: int) -> int:
+    x = max(x, 5)
+    while not is_prime(x):
+        x += 1
+    return x
+
+
+_PRIMES_BELOW_2_31 = st.integers(2, 31).flatmap(
+    lambda k: st.integers(1 << (k - 1), (1 << k) - 1).map(_prime_at_least)
+).filter(lambda p: p < 1 << 31)
+
+
+@settings(deadline=None)
+@given(
+    st.sampled_from((1, -1)),
+    st.sampled_from((1, 2, 3, 6)),
+    st.lists(_PRIMES_BELOW_2_31, max_size=8, unique=True),
+)
+def test_redei_matrix_matches_hilbert_definition_large(sign, eta, primes):
+    d = sign * eta
+    for p in primes:
+        if abs(d) * p >= 1 << 63:
+            break
+        d *= p
+    if d == 1:
+        return
+    assert redei_matrix(d).to_lists() == hilbert_redei(d)
 
 
 def test_redei_matrix_minus1():

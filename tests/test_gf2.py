@@ -8,6 +8,7 @@ from theta_selmer import gf2
 from theta_selmer.gf2 import (
     BitMatrix,
     BitVector,
+    DimensionMismatch,
     RaggedLayout,
     block_assemble,
     col_vec,
@@ -154,3 +155,16 @@ def test_empty_shapes_are_legal(r, c, seed):
     m = BitMatrix(r, c, tuple(rng.randrange(1 << c) if c else 0 for _ in range(r)))
     assert rank(m) <= min(r, c)
     assert rank(m) + len(kernel_basis(m)) == c
+
+
+def test_matrix_validation_rejects_bad_rows():
+    with pytest.raises(ValueError):
+        BitMatrix(2, 3, (1, -1))  # a negative row
+    with pytest.raises(ValueError):
+        BitMatrix(2, 3, (0b111, 0b1000))  # a bit at column ncols
+    with pytest.raises(ValueError):
+        BitMatrix(1, 0, (1,))
+    with pytest.raises(DimensionMismatch):
+        BitMatrix(3, 3, (1, 2))
+    assert BitMatrix(2, 3, (0b111, 0)).rows == (0b111, 0)
+    assert BitMatrix(0, 3, ()).nrows == 0

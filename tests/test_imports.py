@@ -1,8 +1,10 @@
-"""No module of the package imports a name it never uses.
+"""No module of the package imports a name it never uses, and no private
+helper is left that nothing calls.
 
 A stdlib stand-in for a linter's unused-import rule: every name bound by an
 import statement must be read somewhere in the module, or be listed in its
-``__all__`` (the package's re-exports).
+``__all__`` (the package's re-exports).  The dead-helper guard asks the same
+of module-level private functions and classes, across the whole package.
 """
 
 import ast
@@ -46,3 +48,45 @@ def test_detector_flags_an_unused_import():
 )
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def dead_helpers(sources: dict[str, str]) -> list[str]:
+    """Module-level private defs and classes that no module references.
+
+    ``sources`` maps module names to their text.  A name counts as
+    referenced when it is read, looked up as an attribute or imported
+    anywhere in the package, its own module included.
+    """
+    trees = {name: ast.parse(src) for name, src in sources.items()}
+    referenced = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.alias):
+                referenced.add(node.name)
+    return sorted(
+        f"{name}.{node.name}"
+        for name, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+        and node.name not in referenced
+    )
+
+
+def test_detector_flags_a_dead_helper():
+    sources = {
+        "a": "def _used(): pass\ndef _dead(): pass\nclass _Gone: pass\ndef public(): pass\n",
+        "b": "from .a import _used\nimport a\nprint(a._Gone)\n",
+        "c": "def _local(): pass\ndef f(): return _local()\n",
+    }
+    assert dead_helpers(sources) == ["a._dead"]
+
+
+def test_no_dead_private_helpers():
+    sources = {path.stem: path.read_text() for path in PACKAGE.glob("*.py")}
+    assert dead_helpers(sources) == []

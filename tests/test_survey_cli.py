@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -147,6 +148,16 @@ def test_cli_survey_csv_deterministic():
     assert code1 == code2 == 0
     assert out1 == out2
     assert out1.splitlines()[0] == ",".join(survey.CSV_FIELDS)
+
+
+def test_cli_density_json_unchanged():
+    # the r4 histograms over |D| <= 2e5, frozen before the Redei rows were
+    # read off the pairwise Legendre table
+    code, out, _ = run_cli("density", "--max", "200000", "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "b97154b2cbdf8478173ea561b3e1473731153b4054d48f579845ec5ef9c2e240"
+    )
 
 
 def test_cli_parser_rejects_bad_theta():
