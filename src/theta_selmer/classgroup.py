@@ -273,9 +273,11 @@ def forms_class_group(D: int) -> ClassGroupStructure:
     """Cl(D) for fundamental D < 0, by explicit composition of forms."""
     forms = reduced_forms(D)
     h = len(forms)
-    squares = {compose(f, f) for f in forms}
-    fourths = {compose(f, f) for f in squares}
-    torsion2 = {f for f in forms if compose(f, f) == principal_form(D)}
+    square_of = {f: compose(f, f) for f in forms}
+    squares = set(square_of.values())
+    fourths = {square_of[f] for f in squares}
+    ident = principal_form(D)
+    torsion2 = {f for f, sq in square_of.items() if sq == ident}
     r2_ = (len(torsion2)).bit_length() - 1
     r4_ = len(squares & torsion2).bit_length() - 1
     r8_ = len(fourths & torsion2).bit_length() - 1

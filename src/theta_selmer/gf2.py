@@ -276,16 +276,11 @@ def _cell_rows(cell) -> list[int]:
     return [cell & 1]
 
 
-def col_vec(v: BitVector) -> BitMatrix:
-    """A length-t vector as a t x 1 block (the r_d^T of the block notation)."""
-    return BitMatrix(v.n, 1, tuple((v.bits >> i) & 1 for i in range(v.n)))
-
-
 def block_assemble(grid) -> BitMatrix:
     """Assemble a matrix from a grid of BitMatrix / BitVector / 0-1 cells.
 
-    Vectors are 1 x t row blocks; use col_vec() for the transposed t x 1
-    form.  Cell dimensions must be consistent within each grid row and
+    Vectors are 1 x t row blocks; a transposed t x 1 block is a BitMatrix.
+    Cell dimensions must be consistent within each grid row and
     column; RaggedLayout otherwise.
     """
     if not grid:

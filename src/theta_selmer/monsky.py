@@ -11,7 +11,9 @@ the 2-Selmer group, and s2 = 2t + 6 - rank(M_n).
 There is one matrix template per (eta, residue class of ntilde); the
 sixteen scalar blocks below are declarative tables, one entry string per
 matrix row, so each transcription can be audited cell by cell.  Symbol
-tokens: m1 = [-1/ntilde], q2 = [2/ntilde], m3 = [-3/ntilde].
+tokens: m1 = [-1/ntilde], q2 = [2/ntilde], m3 = [-3/ntilde].  The tables
+are compiled to bit masks once at import, and every row of M_n is packed
+from them and from closed-form symbol vectors.
 """
 
 from __future__ import annotations
@@ -20,12 +22,7 @@ import math
 from dataclasses import dataclass
 
 from . import gf2
-from .arith import (
-    SquarefreeInteger,
-    factor_squarefree,
-    legendre_additive,
-    legendre_table,
-)
+from .arith import SquarefreeInteger, eps, factor_squarefree, legendre_table, omega
 from .gf2 import BitMatrix, BitVector
 
 THETA_PI3 = "pi3"
@@ -165,6 +162,22 @@ _TEMPLATE_SCALAR_ROWS = {
     ],
 }
 
+
+def _compile_row(entries: str, y_tok: str, x_tok: str) -> tuple:
+    """One scalar row as (const, m1 mask, q2 mask, m3 mask, y_tok, x_tok): its
+    six entries are const, xored with the mask of each symbol that is 1."""
+    bits = {"0": 0, "1": 0, "m1": 0, "q2": 0, "m3": 0}
+    for j, tok in enumerate(entries.split()):
+        for part in tok.split("+"):
+            bits[part] ^= 1 << j
+    return bits["1"], bits["m1"], bits["q2"], bits["m3"], y_tok, x_tok
+
+
+_TEMPLATES = {
+    name: tuple(_compile_row(*row) for row in rows)
+    for name, rows in _TEMPLATE_SCALAR_ROWS.items()
+}
+
 # both block rows are uniform across templates once eta is known:
 #   x-equations: [ O O O | r-1^T r2^T r3^T | D_{-3} | A + D_eta  ]
 #   y-equations: [ r-1^T r2^T r3^T | O O O | A + D_{-eta} | O    ]
@@ -227,18 +240,36 @@ class Blocks:
         return gf2.diag(self.r[d])
 
 
-def symbol_vector(n: SquarefreeInteger, d: int) -> BitVector:
-    """r_d = ([d/p_1], ..., [d/p_t])."""
-    return BitVector.from_bits(legendre_additive(d, p) for p in n.odd_primes)
+def _symbol_rows(primes) -> tuple[int, int, int]:
+    """r_{-1}, r_2, r_{-3} packed (bit i = [d/p_i]) from closed forms in p:
+    [-1/p] = eps(p), [2/p] = omega(p) and [-3/p] = [p = 2 mod 3]."""
+    m1 = q2 = m3 = 0
+    for i, p in enumerate(primes):
+        m1 |= eps(p) << i
+        q2 |= omega(p) << i
+        m3 |= (p % 3 == 2) << i
+    return m1, q2, m3
+
+
+def _r_bits(d: int, m1: int, q2: int, m3: int) -> int:
+    """r_d for d = +-2^a 3^b as an xor of r_{-1}, r_2, r_{-3}: 3 = -1 * -3."""
+    b = d % 3 == 0
+    return ((d < 0) ^ b) * m1 ^ (d % 2 == 0) * q2 ^ b * m3
+
+
+def _a_rows(primes) -> list[int]:
+    """A with a_ij = [p_j/p_i] off-diagonal and row sums zero."""
+    rows = legendre_table(primes)
+    for i, bits in enumerate(rows):  # a_ii = sum of the off-diagonal row entries
+        rows[i] |= (bits.bit_count() & 1) << i
+    return rows
 
 
 def build_blocks(n: SquarefreeInteger) -> Blocks:
-    """A with a_ij = [p_j/p_i] off-diagonal and row sums zero, plus the r_d."""
-    rows = legendre_table(n.odd_primes)
-    for i, bits in enumerate(rows):  # a_ii = sum of the off-diagonal row entries
-        rows[i] |= (bits.bit_count() & 1) << i
-    a = BitMatrix(n.t, n.t, tuple(rows))
-    r = {d: symbol_vector(n, d) for d in (1, -1, 2, -2, 3, -3, 6, -6)}
+    """A and the eight r_d, d in {+-1, +-2, +-3, +-6}."""
+    a = BitMatrix(n.t, n.t, tuple(_a_rows(n.odd_primes)))
+    syms = _symbol_rows(n.odd_primes)
+    r = {d: BitVector(n.t, _r_bits(d, *syms)) for d in (1, -1, 2, -2, 3, -3, 6, -6)}
     return Blocks(n, a, r)
 
 
@@ -258,67 +289,32 @@ class MonskyMatrix:
         return self.n.t
 
 
-def _scalar_entry(token: str, syms: dict) -> int:
-    val = 0
-    for part in token.split("+"):
-        val ^= syms[part] if part in syms else int(part)
-    return val
-
-
 def build_monsky(n: SquarefreeInteger | int) -> MonskyMatrix:
     """The full Monsky matrix of E_n, rows normalised to the printed order."""
     if isinstance(n, int):
         n = factor_squarefree(n)
     template = select_template(n)
-    blocks = build_blocks(n)
     t = n.t
-    syms = {  # [d/ntilde] = sum of the [d/p_i], so zero for ntilde = 1
-        "m1": blocks.r_vec(-1).weight() & 1,
-        "q2": blocks.r_vec(2).weight() & 1,
-        "m3": blocks.r_vec(-3).weight() & 1,
-    }
-    vecs = {
-        "0": gf2.zeros_vec(t),
-        "r-1": blocks.r_vec(-1),
-        "r2": blocks.r_vec(2),
-        "r-3": blocks.r_vec(-3),
-    }
-    rows = []
-    for entry_str, y_tok, x_tok in _TEMPLATE_SCALAR_ROWS[template]:
-        scalars = [_scalar_entry(tok, syms) for tok in entry_str.split()]
-        bits = sum(b << j for j, b in enumerate(scalars))
-        bits |= vecs[y_tok].bits << 6
-        bits |= vecs[x_tok].bits << (6 + t)
-        rows.append(bits)
-    scalar_block = BitMatrix(len(rows), 2 * t + 6, tuple(rows))
-    if t == 0:
-        return MonskyMatrix(n, template, scalar_block)
-    eta = n.eta
-    zt = gf2.zeros(t, t)
-    z1 = gf2.zeros(t, 1)
-    a = blocks.a_matrix
-    # D_1 = diag([1/p_i]) is zero, so these cover eta = +-1 as printed
-    x_block_row = [
-        z1, z1, z1,
-        gf2.col_vec(blocks.r_vec(-1)),
-        gf2.col_vec(blocks.r_vec(2)),
-        gf2.col_vec(blocks.r_vec(3)),
-        blocks.d_diag(-3),
-        a + blocks.d_diag(eta),
+    m1, q2, m3 = _symbol_rows(n.odd_primes)
+    # [d/ntilde] = sum of the [d/p_i], so zero for ntilde = 1
+    k1, k2, k3 = m1.bit_count() & 1, q2.bit_count() & 1, m3.bit_count() & 1
+    vecs = {"0": 0, "r-1": m1, "r2": q2, "r-3": m3}
+    rows = [
+        const ^ (k1 and mask1) ^ (k2 and mask2) ^ (k3 and mask3)
+        | vecs[y_tok] << 6 | vecs[x_tok] << (6 + t)
+        for const, mask1, mask2, mask3, y_tok, x_tok in _TEMPLATES[template]
     ]
-    y_block_row = [
-        gf2.col_vec(blocks.r_vec(-1)),
-        gf2.col_vec(blocks.r_vec(2)),
-        gf2.col_vec(blocks.r_vec(3)),
-        z1, z1, z1,
-        a + blocks.d_diag(-eta),
-        zt,
-    ]
-    lower = gf2.block_assemble([x_block_row, y_block_row])
-    full = BitMatrix(
-        scalar_block.nrows + lower.nrows, 2 * t + 6, scalar_block.rows + lower.rows
-    )
-    return MonskyMatrix(n, template, full)
+    if t:
+        r3 = m1 ^ m3
+        r_eta, r_neg = _r_bits(n.eta, m1, q2, m3), _r_bits(-n.eta, m1, q2, m3)
+        y_rows = []
+        for i, a in enumerate(_a_rows(n.odd_primes)):
+            head = (m1 >> i & 1) | (q2 >> i & 1) << 1 | (r3 >> i & 1) << 2  # r-1 r2 r3
+            e = 1 << i
+            rows.append(head << 3 | (m3 & e) << 6 | (a ^ (r_eta & e)) << (6 + t))
+            y_rows.append(head | (a ^ (r_neg & e)) << 6)
+        rows += y_rows  # the t x-equations, then the t y-equations
+    return MonskyMatrix(n, template, BitMatrix(len(rows), 2 * t + 6, tuple(rows)))
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ from theta_selmer.gf2 import (
     DimensionMismatch,
     RaggedLayout,
     block_assemble,
-    col_vec,
     diag,
     identity,
     kernel_basis,
@@ -146,7 +145,6 @@ def test_vector_ops():
     assert u.concat(v).slice(3, 6) == v
     assert diag(u).to_lists() == [[1, 0, 0], [0, 0, 0], [0, 0, 1]]
     assert outer_product(u, v).to_lists() == [[1, 1, 0], [0, 0, 0], [1, 1, 0]]
-    assert col_vec(u).to_lists() == [[1], [0], [1]]
 
 
 @given(st.integers(0, 6), st.integers(0, 6), st.integers(0, 2**36 - 1))

@@ -1,8 +1,15 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from theta_selmer import gf2, monsky
-from theta_selmer.arith import factor_squarefree, is_squarefree, legendre_additive
-from theta_selmer.gf2 import BitVector
+from theta_selmer.arith import (
+    factor_squarefree,
+    is_squarefree,
+    legendre_additive,
+    sieve_primes,
+)
+from theta_selmer.gf2 import BitMatrix, BitVector
 from theta_selmer.monsky import (
     THETA_2PI3,
     THETA_PI3,
@@ -107,6 +114,70 @@ def test_monsky_n2_b_template_shape():
     mm = build_monsky(2)
     assert mm.template == "B1"
     assert (mm.matrix.nrows, mm.matrix.ncols) == (5, 6)
+
+
+def _reference_monsky(n: int) -> BitMatrix:
+    """M_n assembled the long way: every template entry parsed from its
+    string, every r_d and a_ij from Euler's criterion, blocks from
+    gf2.block_assemble."""
+    sf = factor_squarefree(n)
+    t, ps = sf.t, sf.odd_primes
+
+    def r(d):
+        return BitVector.from_bits(legendre_additive(d, p) for p in ps)
+
+    def col(v):
+        return BitMatrix(t, 1, tuple(v.entries()))
+
+    syms = {"m1": r(-1).weight() & 1, "q2": r(2).weight() & 1, "m3": r(-3).weight() & 1}
+    vecs = {"0": gf2.zeros_vec(t), "r-1": r(-1), "r2": r(2), "r-3": r(-3)}
+    grid = []
+    for entries, y_tok, x_tok in monsky._TEMPLATE_SCALAR_ROWS[select_template(sf)]:
+        cells = [
+            sum(syms[part] if part in syms else int(part) for part in tok.split("+")) & 1
+            for tok in entries.split()
+        ]
+        grid.append([*cells, vecs[y_tok], vecs[x_tok]])
+    if t:
+        a_rows = []
+        for i, p in enumerate(ps):
+            row = [legendre_additive(q, p) if j != i else 0 for j, q in enumerate(ps)]
+            row[i] = sum(row) & 1
+            a_rows.append(row)
+        a = BitMatrix.from_rows(a_rows)
+        z1 = gf2.zeros(t, 1)
+        heads = [col(r(-1)), col(r(2)), col(r(3))]
+        grid.append([z1, z1, z1, *heads, gf2.diag(r(-3)), a + gf2.diag(r(sf.eta))])
+        grid.append([*heads, z1, z1, z1, a + gf2.diag(r(-sf.eta)), gf2.zeros(t, t)])
+    return gf2.block_assemble(grid)
+
+
+def test_monsky_matches_reference_range():
+    for m in range(1, 3001):
+        if not is_squarefree(m):
+            continue
+        for n in (m, -m):
+            assert build_monsky(n).matrix.rows == _reference_monsky(n).rows, n
+
+
+_REFERENCE_PRIMES = [p for p in sieve_primes(4000) if p > 3]
+
+
+@st.composite
+def _curve_arguments(draw):
+    """n = +-{1,2,3,6} times up to 8 distinct primes below 4000, |n| < 2^63."""
+    n = draw(st.sampled_from([1, 2, 3, 6, -1, -2, -3, -6]))
+    for p in draw(st.lists(st.sampled_from(_REFERENCE_PRIMES), max_size=8, unique=True)):
+        if abs(n) * p >= 1 << 63:
+            break
+        n *= p
+    return n
+
+
+@settings(max_examples=300, deadline=None)
+@given(_curve_arguments())
+def test_monsky_matches_reference_sample(n):
+    assert build_monsky(n).matrix.rows == _reference_monsky(n).rows
 
 
 def test_selmer_rank_examples():

@@ -160,6 +160,25 @@ def test_cli_density_json_unchanged():
     )
 
 
+def test_cli_survey_csv_unchanged():
+    # frozen before the Monsky rows were packed from compiled templates
+    code, out, _ = run_cli("survey", "--max", "3000")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "7355a35558b8ea593418b3bca7685c8774a9dc4d36d01f692587846a77126e44"
+    )
+
+
+def test_cli_survey_json_unchanged():
+    code, out, _ = run_cli(
+        "survey", "--max", "2000", "--certificates", "--oracle-max", "300", "--format", "json"
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "47095e6ab15be11854873126062a8740f1ce0cc568cdc2f896151551f033c7ca"
+    )
+
+
 def test_cli_parser_rejects_bad_theta():
     code, out, err = run_cli("analyze", "5", "--theta", "pi4")
     assert code == 64
