@@ -28,9 +28,11 @@ from .arith import (
     OO,
     SquarefreeInteger,
     factor_squarefree,
+    factorize,
     hilbert_additive,
     legendre_additive,
     split_valuation,
+    sqrt_mod,
 )
 from .gf2 import BitVector
 from .monsky import (
@@ -59,6 +61,14 @@ class NotFound(Exception):
     def __init__(self, bound):
         self.bound = bound
         super().__init__(f"no ternary solution within |a|,|b| <= {bound}")
+
+
+class Insoluble(NotFound):
+    """The ternary form has no point over some completion of Q."""
+
+    def __init__(self, f, g, place):
+        Exception.__init__(self, f"{f} a^2 + {g} b^2 = c^2 has no point over Q_{place}")
+        self.bound = 0
 
 
 class BetaAmbiguous(Exception):
@@ -95,27 +105,6 @@ class TernarySolution:
     def as_dict(self):
         return {"a": self.a, "b": self.b, "c": self.c, "form": self.form_id,
                 "flags": dict(self.flags)}
-
-
-def _raw_solutions(quad_a: int, quad_b: int, bound: int, want: int):
-    """Primitive (a, b, c) with quad_a a^2 + quad_b b^2 = c^2, by growing
-    max(|a|, |b|); only a, b > 0 here, signs are normalised later."""
-    out = []
-    for s in range(1, bound + 1):
-        pairs = [(s, b) for b in range(1, s + 1)] + [(a, s) for a in range(1, s)]
-        for a, b in pairs:
-            if math.gcd(a, b) != 1:
-                continue
-            rhs = quad_a * a * a + quad_b * b * b
-            if rhs < 0:
-                continue
-            c = math.isqrt(rhs)
-            if c * c != rhs:
-                continue
-            out.append((a, b, c))
-            if len(out) >= want:
-                return out
-    return out
 
 
 def transform_minus(p: int, q: int, a: int, b: int, c: int):
@@ -158,69 +147,105 @@ def solve_ternary(form_id: str, params: tuple, rng: random.Random | None = None,
     return sols
 
 
+_F19_FLAGS = (
+    ("a_odd", True), ("b_odd", True), ("c_positive", True),
+    ("a_1_mod_4", True), ("b_1_mod_4", True),
+)
+# from the fifth bound on, _search_pq settles for the last solution it has
+_LATE_BOUNDS = frozenset(BOUND_SCHEDULE[4:])
+
+
 def _search_f19(d: int, n: int, skip: int, rng) -> TernarySolution:
-    nd = n // d
+    """4 c^2 = d a^2 + (n/d) b^2 with a, b odd: the want-th such solution,
+    or the last one within the first bound of BOUND_SCHEDULE that has any."""
     want = skip + (rng.randrange(4) if rng else 0) + 1
-    for bound in BOUND_SCHEDULE:
-        found = []
-        for s in range(1, bound + 1):
-            pairs = [(s, b) for b in range(1, s + 1, 2)] + [(a, s) for a in range(1, s, 2)]
-            if s % 2 == 0:
-                pairs = []
-            for a, b in pairs:
-                if math.gcd(a, b) != 1:
-                    continue
-                rhs = d * a * a + nd * b * b
-                if rhs % 4:
-                    continue
-                c = math.isqrt(rhs // 4)
-                if 4 * c * c != rhs:
-                    continue
+    found = []
+    primes = [p for p, _ in factorize(n)]
+    for s, sols in enumerate(_shells(d, n // d, primes), 1):
+        for a, b, c in sols:
+            if a % 2 and b % 2 and c % 2 == 0:
                 # normalise: a = b = 1 mod 4 via sign flips, c > 0
-                aa = a if a % 4 == 1 else -a
-                bb = b if b % 4 == 1 else -b
-                found.append((aa, bb, c))
-                if len(found) >= want:
-                    sol = found[want - 1]
-                    return TernarySolution(
-                        *sol,
-                        form_id="4c2=da2+(n/d)b2",
-                        flags=(
-                            ("a_odd", True), ("b_odd", True), ("c_positive", True),
-                            ("a_1_mod_4", True), ("b_1_mod_4", True),
-                        ),
-                    )
-        if found:
-            sol = found[-1]
-            return TernarySolution(
-                *sol,
-                form_id="4c2=da2+(n/d)b2",
-                flags=(
-                    ("a_odd", True), ("b_odd", True), ("c_positive", True),
-                    ("a_1_mod_4", True), ("b_1_mod_4", True),
-                ),
-            )
+                found.append((a if a % 4 == 1 else -a, b if b % 4 == 1 else -b, c // 2))
+                if len(found) == want:
+                    break
+        if len(found) == want or (found and s in BOUND_SCHEDULE):
+            return TernarySolution(*found[-1], form_id="4c2=da2+(n/d)b2", flags=_F19_FLAGS)
     raise NotFound(BOUND_SCHEDULE[-1])
 
 
 def _search_pq(p: int, q: int, form_sign: int, skip: int, rng) -> TernarySolution:
-    """Normalised solution of p a^2 + form_sign q b^2 = c^2."""
+    """Normalised solution of p a^2 + form_sign q b^2 = c^2.
+
+    The first 6 want + 12 raw solutions are normalised; the want-th distinct
+    result is returned, or else the last one once the search is past
+    BOUND_SCHEDULE[4] (or out of raw solutions).
+    """
     want = skip + (rng.randrange(4) if rng else 0) + 1
+    budget = 6 * want + 12
     found = []
-    for bound in BOUND_SCHEDULE:
-        raw = _raw_solutions(p, form_sign * q, bound, 6 * want + 12)
-        for a0, b0, c0 in raw:
+    for s, sols in enumerate(_shells(p, form_sign * q, (p, q)), 1):
+        for a0, b0, c0 in sols[:budget]:
             cand = _normalise_pq(p, q, form_sign, a0, b0, c0)
             if cand is not None and cand not in found:
                 found.append(cand)
-                if len(found) >= want:
+                if len(found) == want:
                     break
-        if len(found) >= want or (found and bound >= BOUND_SCHEDULE[min(4, len(BOUND_SCHEDULE) - 1)]):
-            sol = found[min(want, len(found)) - 1]
+        budget -= len(sols)
+        if len(found) == want or (found and (budget <= 0 or s in _LATE_BOUNDS)):
+            sol = found[-1]
             flags = _pq_flags(p, q, form_sign, *sol)
             form = "px2-qy2=z2" if form_sign < 0 else "px2+qy2=z2"
             return TernarySolution(*sol, form_id=form, flags=tuple(flags.items()))
+        if budget <= 0:
+            break
     raise NotFound(BOUND_SCHEDULE[-1])
+
+
+def _shells(f: int, g: int, primes):
+    """The primitive solutions of f a^2 + g b^2 = c^2 with a, b >= 1, as one
+    list per shell s = max(a, b) = 1 .. BOUND_SCHEDULE[-1]: first (s, b) for
+    b = 1 .. s, then (a, s) for a = 1 .. s - 1.
+
+    f and g are squarefree and primes are the primes dividing f g.  Raises
+    Insoluble before any shell if some completion has no point; otherwise
+    f is a square mod every odd prime l | g.  In the half-shell where b
+    varies, every solution has c = +-r s mod such an l, with r^2 = f mod l,
+    so only those c are tried and b is read off c; likewise with f and g
+    swapped where a varies.
+    """
+    for place in (OO, 2, *primes):
+        if hilbert_additive(f, g, place):
+            raise Insoluble(f, g, place)
+    lf = max((l for l in primes if l > 2 and f % l == 0), default=1)
+    lg = max((l for l in primes if l > 2 and g % l == 0), default=1)
+    rf = sqrt_mod(g, lf) if g % lf else 0
+    rg = sqrt_mod(f, lg) if f % lg else 0
+    for s in range(1, BOUND_SCHEDULE[-1] + 1):
+        yield ([(s, x, c) for x, c in _half_shell(f, g, lg, rg, s, s)]
+               + [(x, s, c) for x, c in _half_shell(g, f, lf, rf, s, s - 1)])
+
+
+def _half_shell(fixed: int, free: int, l: int, r: int, s: int, top: int):
+    """(x, c) with fixed s^2 + free x^2 = c^2, c >= 0, 1 <= x <= top and
+    gcd(x, s) = 1, by x; l | free and r^2 = fixed mod l."""
+    base = fixed * s * s
+    lo, hi = base + free, base + free * top * top
+    if free < 0:
+        lo, hi = hi, lo
+    if hi < 0:
+        return []
+    # c^2 runs over [lo, hi] exactly as x^2 runs over [1, top^2]
+    c_lo, c_hi = math.isqrt(lo - 1) + 1 if lo > 0 else 0, math.isqrt(hi)
+    out = []
+    for rho in {r * s % l, -r * s % l}:
+        for c in range(c_lo + (rho - c_lo) % l, c_hi + 1, l):
+            x2, rem = divmod(c * c - base, free)
+            if rem == 0:
+                x = math.isqrt(x2)
+                if x * x == x2 and math.gcd(x, s) == 1:
+                    out.append((x, c))
+    out.sort()
+    return out
 
 
 def _pq_flags(p, q, form_sign, a, b, c):

@@ -1,14 +1,24 @@
 import hashlib
+import itertools
 import json
 import math
 import random
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from theta_selmer import cassels, classgroup, descent, monsky
-from theta_selmer.arith import OO, factor_range, factor_squarefree, legendre_additive
+from theta_selmer.arith import (
+    OO,
+    factor_range,
+    factor_squarefree,
+    is_prime,
+    legendre_additive,
+)
 from theta_selmer.cassels import (
+    BOUND_SCHEDULE,
     FAMILY_F5,
     FAMILY_F11,
     KIND_CASSELS,
@@ -18,6 +28,8 @@ from theta_selmer.cassels import (
     KIND_UNKNOWN,
     ExcludedSmallN,
     HypothesisFailed,
+    Insoluble,
+    NotFound,
     certify,
     pairing_f19,
     pairing_pq,
@@ -67,8 +79,140 @@ def test_solve_ternary_f19():
 
 def test_solve_ternary_unsolvable_pair():
     # 5 a^2 - 73 b^2 = c^2 has no primitive solution (fails 5-adically),
-    # consistent with [p/q] = 1 where the construction is never needed
-    assert cassels._raw_solutions(5, -73, 400, 1) == []
+    # consistent with [p/q] = 1 where the construction is never needed;
+    # the Hilbert symbols reject it before any shell is searched
+    with pytest.raises(Insoluble) as exc:
+        solve_ternary("px2-qy2=z2", (5, 73))
+    assert isinstance(exc.value, NotFound)
+
+
+# Reference searches for the shell stream: every pair (a, b) of each shell
+# s = max(a, b) is tested, and each bound of BOUND_SCHEDULE restarts from
+# s = 1.  They share no code with cassels._shells.
+
+
+def _box_solutions(quad_a, quad_b, bound, want=None):
+    out = []
+    for s in range(1, bound + 1):
+        pairs = [(s, b) for b in range(1, s + 1)] + [(a, s) for a in range(1, s)]
+        for a, b in pairs:
+            if math.gcd(a, b) != 1:
+                continue
+            rhs = quad_a * a * a + quad_b * b * b
+            if rhs < 0:
+                continue
+            c = math.isqrt(rhs)
+            if c * c == rhs:
+                out.append((a, b, c))
+                if len(out) == want:
+                    return out
+    return out
+
+
+def _box_f19(d, nd, bound):
+    out = []
+    for s in range(1, bound + 1, 2):
+        pairs = [(s, b) for b in range(1, s + 1, 2)] + [(a, s) for a in range(1, s, 2)]
+        for a, b in pairs:
+            if math.gcd(a, b) != 1:
+                continue
+            rhs = d * a * a + nd * b * b
+            if rhs % 4:
+                continue
+            c = math.isqrt(rhs // 4)
+            if 4 * c * c == rhs:
+                out.append((a if a % 4 == 1 else -a, b if b % 4 == 1 else -b, c))
+    return out
+
+
+def _reference_pq(p, q, form_sign, skip, rng):
+    want = skip + (rng.randrange(4) if rng else 0) + 1
+    found = []
+    for bound in BOUND_SCHEDULE:
+        for raw in _box_solutions(p, form_sign * q, bound, 6 * want + 12):
+            cand = cassels._normalise_pq(p, q, form_sign, *raw)
+            if cand is not None and cand not in found:
+                found.append(cand)
+                if len(found) >= want:
+                    break
+        if len(found) >= want or (found and bound >= BOUND_SCHEDULE[4]):
+            return found[min(want, len(found)) - 1]
+    raise NotFound(BOUND_SCHEDULE[-1])
+
+
+def _reference_f19(d, n, skip, rng):
+    want = skip + (rng.randrange(4) if rng else 0) + 1
+    for bound in BOUND_SCHEDULE:
+        found = _box_f19(d, n // d, bound)
+        if found:
+            return found[min(want, len(found)) - 1]
+    raise NotFound(BOUND_SCHEDULE[-1])
+
+
+def _stream(f, g, primes, shells):
+    return [sol for sols in itertools.islice(cassels._shells(f, g, primes), shells) for sol in sols]
+
+
+SMALL_PRIMES = [p for p in range(2, 3000) if is_prime(p)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(SMALL_PRIMES), st.sampled_from(SMALL_PRIMES), st.sampled_from((-1, 1)))
+def test_shell_stream_matches_box_search(p, q, sign):
+    shells = 60
+    expected = _box_solutions(p, sign * q, shells)
+    try:
+        got = _stream(p, sign * q, (p, q), shells)
+    except Insoluble:
+        got = []  # no completion has a point, so neither may the box
+    assert got == expected
+
+
+def _f19_forms(limit):
+    return [
+        (classgroup.splitting_divisor(sf)[0], sf.value)
+        for sf in factor_range(limit)
+        if sf.value % 24 == 19 and classgroup.r4(-sf) == 1
+    ]
+
+
+def test_shell_stream_filtered_matches_f19_box():
+    shells = 45
+    forms = _f19_forms(99999)
+    assert len(forms) > 1000
+    for d, n in forms:
+        primes = factor_squarefree(n).odd_primes  # n is prime to 6
+        got = [
+            (a if a % 4 == 1 else -a, b if b % 4 == 1 else -b, c // 2)
+            for a, b, c in _stream(d, n // d, primes, shells)
+            if a % 2 and b % 2 and c % 2 == 0
+        ]
+        assert got == _box_f19(d, n // d, shells), (d, n)
+
+
+def _pq_pairs():
+    primes = [p for p in SMALL_PRIMES if p > 3][:80]
+    return [
+        (p, q) for p in primes for q in primes
+        if p != q and p % 3 == 1 and (p * q) % 24 in (5, 11) and legendre_additive(p, q) == 0
+    ]
+
+
+def test_searches_match_reference_choices():
+    pairs = _pq_pairs()[::8]
+    forms = _f19_forms(30000)[::10]
+    assert len(pairs) >= 30 and len(forms) >= 30
+    for skip, seed in itertools.product(range(4), (None, 1, 2)):
+        for p, q in pairs:
+            sign = -1 if (p * q) % 24 == 5 else 1
+            form = "px2-qy2=z2" if sign < 0 else "px2+qy2=z2"
+            rng_a, rng_b = (random.Random(seed), random.Random(seed)) if seed else (None, None)
+            sol = solve_ternary(form, (p, q), rng=rng_a, skip=skip)
+            assert (sol.a, sol.b, sol.c) == _reference_pq(p, q, sign, skip, rng_b), (p, q)
+        for d, n in forms:
+            rng_a, rng_b = (random.Random(seed), random.Random(seed)) if seed else (None, None)
+            sol = solve_ternary("4c2=da2+(n/d)b2", (d, n), rng=rng_a, skip=skip)
+            assert (sol.a, sol.b, sol.c) == _reference_f19(d, n, skip, rng_b), (d, n)
 
 
 def test_pairing_pq_frozen_values():
@@ -193,6 +337,23 @@ def test_certify_large_prime_memory():
         tracemalloc.stop()
     assert cert.kind == KIND_UNKNOWN and cert.s2 == 4
     assert peak < 64 * 2**20
+
+
+def test_certify_large_semiprimes():
+    # F5 semiprimes whose pairing needs a ternary solution far out in the
+    # shells: 2603392255554437 = 43996879 * 59172203, and 1323443747 * 1903400671
+    # near 2^61
+    cert = certify(2603392255554437, "pi3")
+    assert cert.kind == KIND_CASSELS and cert.s2 == 4
+    sol = cert.evidence["pairing"]["ternary"]
+    assert (sol["a"], sol["b"], sol["c"]) == (
+        59237081425525089, 49702795755633281, -90605391635275818074,
+    )
+    assert hashlib.sha256(cert.to_json().encode()).hexdigest() == (
+        "f1bb1c9f5a877086c092b706b9c02595b2fbfa3f21a65bda16fe672764340b63"
+    )
+    cert = certify(2519043716070554237, "pi3")
+    assert cert.kind == KIND_CASSELS and cert.s2 == 4
 
 
 # The certified answers of the families scan in [9e4, 1e5): kinds, s2, the

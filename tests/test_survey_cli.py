@@ -135,6 +135,13 @@ def test_cli_certify_json():
     assert doc["kind"] == cassels.KIND_CASSELS
 
 
+def test_cli_certify_large_semiprime():
+    # 1000370001101 = 1000003 * 1000367, an F5 semiprime that needs a pairing
+    code, out, err = run_cli("certify", "1000370001101", "--theta", "pi3")
+    assert code == 0, err
+    assert json.loads(out)["s2"] == 4
+
+
 def test_certify_transcript_deterministic():
     code1, out1, _ = run_cli("certify", "221", "--theta", "pi3")
     code2, out2, _ = run_cli("certify", "221", "--theta", "pi3")
