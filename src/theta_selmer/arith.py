@@ -239,7 +239,7 @@ def is_squarefree(n: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Legendre / Jacobi symbols
+# Legendre symbols
 # ---------------------------------------------------------------------------
 
 
@@ -267,26 +267,6 @@ def legendre_table(primes) -> list[int]:
             rows[i] |= s << j
             rows[j] |= (s ^ (p & q & 2) >> 1) << i
     return rows
-
-
-def jacobi_symbol(a: int, m: int) -> int:
-    """Jacobi symbol (a/m) for odd m > 0, by the binary algorithm."""
-    if m <= 0 or m % 2 == 0:
-        raise ValueError("m must be odd and positive")
-    a %= m
-    sign = 1
-    while a:
-        while a % 2 == 0:
-            a //= 2
-            if m % 8 in (3, 5):
-                sign = -sign
-        a, m = m, a
-        if a % 4 == 3 and m % 4 == 3:
-            sign = -sign
-        a %= m
-    if m != 1:
-        raise NotCoprime("arguments share a factor")
-    return sign
 
 
 # ---------------------------------------------------------------------------

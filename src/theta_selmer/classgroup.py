@@ -50,64 +50,63 @@ class QuadraticFieldData:
     discriminant: int
     ramified_primes: tuple[int, ...]
 
-    @property
-    def t_ram(self) -> int:
-        return len(self.ramified_primes)
+
+def _odd_ramified(d: SquarefreeInteger | int) -> tuple[int, tuple[int, ...]]:
+    """d as an int and its odd ramified primes (3 included), ascending."""
+    sf = d if isinstance(d, SquarefreeInteger) else factor_squarefree(d)
+    if sf.value == 1:
+        raise ValueError("d = 1 is not a quadratic field")
+    return sf.value, ((3,) if sf.has_three else ()) + sf.odd_primes
 
 
 def field_data(d: SquarefreeInteger | int) -> QuadraticFieldData:
     """Fundamental data of Q(sqrt(d)) for squarefree d != 1."""
-    sf = d if isinstance(d, SquarefreeInteger) else factor_squarefree(d)
-    d = sf.value
-    if d == 1:
-        raise ValueError("d = 1 is not a quadratic field")
+    d, odd = _odd_ramified(d)
     disc = d if d % 4 == 1 else 4 * d
-    # 2 < 3 < the odd primes, which come ascending: already sorted
-    ram = ((2,) if disc % 2 == 0 else ()) + ((3,) if sf.has_three else ()) + sf.odd_primes
-    return QuadraticFieldData(d, disc, ram)
+    return QuadraticFieldData(d, disc, ((2,) if disc % 2 == 0 else ()) + odd)
 
 
-def _redei(fd: QuadraticFieldData) -> BitMatrix:
+def _redei_rows(d: int, odd: tuple[int, ...], table: list[int]) -> list[int]:
     """R(d) as packed rows from closed forms, with d = sign 2^a w and w odd.
 
-    Odd rows: the Legendre table, omega(p_i) in the column of 2, and on the
-    diagonal eps(p_i) [d > 0] + a omega(p_i) + sum_{k != i} [p_k/p_i] (product
+    odd are d's odd ramified primes, table their legendre_table, read only.
+    Odd rows: the table, omega(p_i) in the column of 2, and on the diagonal
+    eps(p_i) [d > 0] + a omega(p_i) + sum_{k != i} [p_k/p_i] (product
     formula).  The row of 2, when 2 ramifies: [p_j, d]_2 = eps(p_j) eps(w)
     + a omega(p_j), and [2, d]_2 = omega(w).
     """
-    d, ps = fd.d, fd.ramified_primes
-    two = ps[0] == 2
-    odd = ps[1:] if two else ps
+    two = d % 4 != 1
     a = 1 - d % 2
     w = d >> a
-    rows = legendre_table(odd)
     top = omega(w)
+    rows = []
     for i, p in enumerate(odd):
         e, o = eps(p), omega(p)
-        row = rows[i] | ((e & (d > 0)) ^ (a & o) ^ (rows[i].bit_count() & 1)) << i
+        row = table[i] | ((e & (d > 0)) ^ (a & o) ^ (table[i].bit_count() & 1)) << i
         if two:
             row = row << 1 | o
             top |= ((e & eps(w)) ^ (a & o)) << (i + 1)
-        rows[i] = row
-    if two:
-        rows.insert(0, top)
-    return BitMatrix(len(ps), len(ps), tuple(rows))
+        rows.append(row)
+    return [top] + rows if two else rows
 
 
 def redei_matrix(d: SquarefreeInteger | int) -> BitMatrix:
     """R(d): entry (i, j) is the additive Hilbert symbol [p_j, d]_{p_i}."""
-    return _redei(field_data(d))
+    d, odd = _odd_ramified(d)
+    rows = _redei_rows(d, odd, legendre_table(odd))
+    return BitMatrix(len(rows), len(rows), tuple(rows))
 
 
 def r2(d: SquarefreeInteger | int) -> int:
     """Genus theory: 2-rank of the narrow class group is t_ram - 1."""
-    return field_data(d).t_ram - 1
+    return len(field_data(d).ramified_primes) - 1
 
 
 def r4(d: SquarefreeInteger | int) -> int:
     """4-rank of the narrow class group, r4 = t_ram - 1 - rank(R(d))."""
-    fd = field_data(d)
-    return fd.t_ram - 1 - gf2.rank(_redei(fd))
+    d, odd = _odd_ramified(d)
+    rows = _redei_rows(d, odd, legendre_table(odd))
+    return len(rows) - 1 - gf2.rank_rows(rows)
 
 
 def splitting_divisor(n: SquarefreeInteger | int) -> tuple[int, BitVector]:

@@ -206,8 +206,25 @@ def _rref(rows: list[int], ncols: int) -> tuple[list[int], list[int]]:
     return work[: len(pivots)], pivots
 
 
+def rank_rows(rows) -> int:
+    """Rank of packed rows, from an XOR basis.
+
+    r ^ b < r exactly when r has b's leading bit, and r ^= b clears it.  Each
+    basis element lacks the leading bits of those before it, so one pass in
+    order clears them all from r, and a nonzero r is independent.
+    """
+    basis: list[int] = []
+    for r in rows:
+        for b in basis:
+            if r ^ b < r:
+                r ^= b
+        if r:
+            basis.append(r)
+    return len(basis)
+
+
 def rank(m: BitMatrix) -> int:
-    return len(_rref(list(m.rows), m.ncols)[1])
+    return rank_rows(m.rows)
 
 
 def kernel_basis(m: BitMatrix) -> list[BitVector]:
@@ -245,12 +262,8 @@ def solve(m: BitMatrix, v: BitVector):
 
 
 def in_row_span(rows: list[BitVector], v: BitVector) -> bool:
-    if not rows:
-        return v.is_zero()
-    ncols = rows[0].n
-    base = _rref([r.bits for r in rows], ncols)[1]
-    aug = _rref([r.bits for r in rows] + [v.bits], ncols)[1]
-    return len(base) == len(aug)
+    bits = [r.bits for r in rows]
+    return rank_rows(bits) == rank_rows(bits + [v.bits])
 
 
 # ---------------------------------------------------------------------------

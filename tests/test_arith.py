@@ -16,7 +16,6 @@ from theta_selmer.arith import (
     hilbert_additive,
     is_prime,
     is_squarefree,
-    jacobi_symbol,
     legendre_additive,
     sieve_primes,
     split_valuation,
@@ -209,14 +208,6 @@ def test_hilbert_product_formula(a, b):
         if p != 2:
             total += hilbert_additive(a, b, p)
     assert total % 2 == 0
-
-
-def test_jacobi_matches_legendre():
-    for p in ODD_PRIMES[:40]:
-        for a in range(1, 25):
-            if a % p == 0:
-                continue
-            assert jacobi_symbol(a, p) == (1 if legendre_additive(a, p) == 0 else -1)
 
 
 @given(st.lists(st.sampled_from(ODD_PRIMES), max_size=9, unique=True))

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from theta_selmer import classgroup, gf2
+from theta_selmer import classgroup, gf2, survey
 from theta_selmer.arith import factor_squarefree, hilbert_additive, is_prime, is_squarefree
 from theta_selmer.classgroup import (
     PositiveDiscriminant,
@@ -49,6 +49,37 @@ def test_redei_matrix_matches_hilbert_definition():
         if is_squarefree(m):
             for d in (m, -m):
                 assert redei_matrix(d).to_lists() == hilbert_redei(d), d
+
+
+def unpacked_rank(a: list[list[int]]) -> int:
+    """Elimination on lists of 0/1 entries, sharing no code with gf2."""
+    a = [row[:] for row in a]
+    rank_ = 0
+    for col in range(len(a)):
+        piv = next((i for i in range(rank_, len(a)) if a[i][col]), None)
+        if piv is None:
+            continue
+        a[rank_], a[piv] = a[piv], a[rank_]
+        for i in range(rank_ + 1, len(a)):
+            if a[i][col]:
+                a[i] = [x ^ y for x, y in zip(a[i], a[rank_])]
+        rank_ += 1
+    return rank_
+
+
+def test_density_histograms_match_hilbert_definition():
+    # both signs, D > 0 included: r4 = t_ram - 1 - rank R(d), with R(d) from
+    # Hilbert symbols and the discriminants enumerated directly
+    want: dict[int, dict[str, int]] = {-1: {}, 1: {}}
+    for D in range(-3000, 3001):
+        if abs(D) >= 3 and is_fundamental(D):
+            a = hilbert_redei(D if D % 4 == 1 else D // 4)
+            k = str(len(a) - 1 - unpacked_rank(a))
+            hist = want[1 if D > 0 else -1]
+            hist[k] = hist.get(k, 0) + 1
+    reports = survey.scan_r4_density(3000)
+    assert [r.counts for r in reports] == [want[-1], want[-1], want[1], want[1]]
+    assert [r.size for r in reports] == [sum(want[s].values()) for s in (-1, -1, 1, 1)]
 
 
 def _prime_at_least(x: int) -> int:

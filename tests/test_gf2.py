@@ -54,6 +54,34 @@ def test_rank_vs_naive_oracle():
         assert rank(m) == naive_rank(m)
 
 
+def product(left: BitMatrix, right: BitMatrix) -> BitMatrix:
+    """left * right, row i being the xor of the rows of right that row i picks."""
+    return BitMatrix(left.nrows, right.ncols,
+                     tuple(right.vec_mul(left.row(i)).bits for i in range(left.nrows)))
+
+
+def test_rank_of_structured_low_rank_matrices():
+    # dense random matrices are almost always of full rank, so a row seldom
+    # reduces to zero against the xor basis; these are rank-deficient on purpose
+    rng = random.Random(13)
+    for _ in range(300):
+        r, k, c = rng.randrange(1, 16), rng.randrange(0, 8), rng.randrange(1, 16)
+        low = product(random_matrix(rng, r, k), random_matrix(rng, k, c))
+        rows = list(low.rows)
+        dup = rows + [rng.choice(rows) for _ in range(rng.randrange(1, 6))]
+        rng.shuffle(dup)
+        lead = 1 << (c - 1)
+        shared = [lead | rng.randrange(lead) for _ in range(rng.randrange(1, 6))]
+        shared += [rng.choice(shared) ^ lead] + rows[:3]
+        rng.shuffle(shared)
+        for m in (low, BitMatrix(len(dup), c, tuple(dup)),
+                  BitMatrix(len(shared), c, tuple(shared))):
+            assert rank(m) == naive_rank(m)
+            assert rank(m) + len(kernel_basis(m)) == c
+        assert rank(low) <= k
+        assert rank(BitMatrix(len(dup), c, tuple(dup))) == rank(low)
+
+
 def test_kernel_examples():
     assert kernel_basis(identity(4)) == []
     basis = kernel_basis(zeros(2, 3))
