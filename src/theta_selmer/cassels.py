@@ -129,9 +129,10 @@ def solve_ternary(form_id: str, params: tuple, rng: random.Random | None = None,
                   skip: int = 0) -> TernarySolution:
     """A primitive, family-normalised solution of the requested form.
 
-    skip > 0 (or an rng) picks later/random qualifying solutions, which the
-    well-definedness tests use to confirm the pairing does not depend on
-    the choice.
+    params is (d, n) for the F19 form, n an int or a SquarefreeInteger,
+    and (p, q) for the other two.  skip > 0 (or an rng) picks later/random
+    qualifying solutions, which the well-definedness tests use to confirm
+    the pairing does not depend on the choice.
     """
     if form_id == "4c2=da2+(n/d)b2":
         d, n = params
@@ -155,12 +156,17 @@ _F19_FLAGS = (
 _LATE_BOUNDS = frozenset(BOUND_SCHEDULE[4:])
 
 
-def _search_f19(d: int, n: int, skip: int, rng) -> TernarySolution:
+def _search_f19(d: int, n: SquarefreeInteger | int, skip: int, rng) -> TernarySolution:
     """4 c^2 = d a^2 + (n/d) b^2 with a, b odd: the want-th such solution,
-    or the last one within the first bound of BOUND_SCHEDULE that has any."""
+    or the last one within the first bound of BOUND_SCHEDULE that has any.
+    An n already factored as a SquarefreeInteger is not factored again."""
     want = skip + (rng.randrange(4) if rng else 0) + 1
     found = []
-    primes = [p for p, _ in factorize(n)]
+    if isinstance(n, SquarefreeInteger):
+        primes = [2] * n.has_two + [3] * n.has_three + list(n.odd_primes)
+        n = n.value
+    else:
+        primes = [p for p, _ in factorize(n)]
     for s, sols in enumerate(_shells(d, n // d, primes), 1):
         for a, b, c in sols:
             if a % 2 and b % 2 and c % 2 == 0:
@@ -606,7 +612,7 @@ def pairing_f19(n: SquarefreeInteger | int, rng: random.Random | None = None,
     lam1 = monsky.decode_vector(v, sf)
 
     # ternary data
-    sol = solve_ternary("4c2=da2+(n/d)b2", (d_star, n), rng=rng, skip=ternary_skip)
+    sol = solve_ternary("4c2=da2+(n/d)b2", (d_star, sf), rng=rng, skip=ternary_skip)
     if math.gcd(sol.c, n) != 1:
         raise HypothesisFailed(f"ternary c = {sol.c} shares a factor with n")
     r_c = BitVector.from_bits(legendre_additive(sol.c, p) for p in sf.odd_primes)

@@ -20,12 +20,17 @@ of both forms, or it is refined, and classes clinging to a p-adic root
 of a form are settled by computing the root itself.  Any residual
 ambiguity raises Undecided loudly instead of guessing.
 
-The answer at a place v depends only on the classes of b1 and b2 in
+The answer at a place v depends only on the classes of n, b1 and b2 in
 Q_v^*/Q_v^*2: replacing b1 by b1 s^2 maps a point to one with u1, u3
-scaled by s (and b2 by b2 s^2 scales u2, u3), a Q_v-isomorphism of
-C_Lambda.  So the enumeration decides each place once per local class
-(at most 4 at oo, 64 at 2 and 16 at an odd p) and reuses the verdict
-for every candidate in that class.
+scaled by s (and b2 by b2 s^2 scales u2, u3), and replacing n by n s^2
+scales e1 and e2 by s^2, which t -> s t undoes; each is a
+Q_v-isomorphism of C_Lambda.  So the enumeration decides each place once
+per local class of (b1, b2) (at most 4 at oo, 64 at 2 and 16 at an odd p)
+and reuses the verdict for every candidate in that class.  At oo, 2 and 3,
+the places every n has, the verdicts are shared by all calls in one table
+keyed by the class of n as well: at most 2*4 + 8*64 + 4*16 = 584 of them.
+At p | n they are decided afresh in each call, so that nothing grows with
+the primes a process meets.
 """
 
 from __future__ import annotations
@@ -378,19 +383,25 @@ def _local_class(b: int, place) -> int:
     return (v & 1) | (not _is_qr(u, place)) << 1
 
 
-def _class_table(n: SquarefreeInteger, place) -> bytearray:
+# _XOR[c] translates every class key k to k ^ c
+_XOR = [bytes(k ^ c for k in range(256)) for c in range(64)]
+
+# Verdicts at oo, 2 and 3 for every n: (place, class of n) -> {class key of
+# (b1, b2): verdict}; at most 584 verdicts in all
+_SHARED: dict[tuple, dict[int, bool]] = {}
+
+
+def _class_table(n: SquarefreeInteger, place) -> bytes:
     """Local class key of (b1, b2) at the place for every candidate vector.
 
     Bit i of a vector multiplies (b1, b2) by monsky.basis_pairs(n)[i]; the
     key packs the class of b1 in its low three bits and that of b2 in the
-    next three.
+    next three.  Each basis pair doubles the table: the vectors with bit i
+    set are those without it, translated by the pair's key.
     """
-    contrib = [_local_class(g1, place) | _local_class(g2, place) << 3
-               for g1, g2 in basis_pairs(n)]
-    tab = bytearray(1 << len(contrib))
-    for bits in range(1, len(tab)):
-        low = bits & -bits
-        tab[bits] = tab[bits ^ low] ^ contrib[low.bit_length() - 1]
+    tab = b"\0"
+    for g1, g2 in basis_pairs(n):
+        tab += tab.translate(_XOR[_local_class(g1, place) | _local_class(g2, place) << 3])
     return tab
 
 
@@ -398,9 +409,11 @@ def selmer_group_oracle(n: SquarefreeInteger | int, check_closure: bool = True):
     """All of Sel_2(E_n) by enumerating every candidate (b1, b2).
 
     Returns (members, vectors): the everywhere-locally-solvable classes
-    and their encodings.  Enumeration is 2^(2t+6) candidates, so t <= 4;
-    each place is decided once per local class of (b1, b2), on the first
-    candidate in ascending order that reaches it.
+    and their encodings.  Enumeration is 2^(2t+6) candidates, so t <= 4.
+    Each place is decided once per local class of (b1, b2), on a candidate
+    that reaches it: at p | n once per call, and at oo, 2 and 3 once per
+    process for each class of n, from the shared table.  A verdict that
+    raises Undecided is not stored.
     """
     if isinstance(n, int):
         n = factor_squarefree(n)
@@ -408,7 +421,10 @@ def selmer_group_oracle(n: SquarefreeInteger | int, check_closure: bool = True):
     if t > 4:
         raise TooLarge(f"oracle enumeration needs t <= 4, got t={t}")
     dim = 2 * t + 6
-    local = [(place, _class_table(n, place), {}) for place in place_set(n)]
+    local = [(place, _class_table(n, place),
+              _SHARED.setdefault((place, _local_class(n.value, place)), {})
+              if place in (OO, 2, 3) else {})
+             for place in place_set(n)]
     members: list[TwoCoverClass] = []
     vectors: list[BitVector] = []
     for bits in range(1 << dim):

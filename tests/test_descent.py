@@ -1,8 +1,12 @@
+import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
-from theta_selmer import descent, monsky
+from theta_selmer import descent, monsky, survey
 from theta_selmer.arith import OO, factor_range, factor_squarefree, is_squarefree, sieve_primes
 from theta_selmer.descent import (
     TooLarge,
@@ -115,16 +119,84 @@ def test_oracle_memo_matches_direct_enumeration():
         assert members == [monsky.decode_vector(v, sf) for v in direct], sf.value
 
 
-def test_local_solvability_constant_on_local_classes():
-    for sf in _signed(60):
+def test_local_solvability_constant_on_local_classes(monkeypatch):
+    # one verdict per (place, class of n, class key of (b1, b2)) across all
+    # n: at oo, 2 and 3 for every n, at an odd p for the n that p divides
+    signed = _signed(60)
+    verdicts = {}
+    for sf in signed:
         dim = 2 * sf.t + 6
         for place in place_set(sf):
             tab = descent._class_table(sf, place)
-            verdicts = {}
+            ncls = descent._local_class(sf.value, place)
             for bits in range(1 << dim):
                 lam = monsky.decode_vector(BitVector(dim, bits), sf)
                 ok = locally_solvable(curve_for(sf, lam), place)
-                assert verdicts.setdefault(tab[bits], ok) == ok, (sf.value, place, lam)
+                key = (place, ncls, tab[bits])
+                assert verdicts.setdefault(key, ok) == ok, (sf.value, place, lam)
+    shared_primes = {p for p in (5, 7, 11, 13)
+                     if sum(p in sf.odd_primes for sf in signed) > 2}
+    assert shared_primes == {5, 7, 11, 13}
+    # the oracle's shared table, filled afresh, holds these verdicts
+    monkeypatch.setattr(descent, "_SHARED", {})
+    for sf in signed:
+        selmer_group_oracle(sf)
+    for (place, ncls), table in descent._SHARED.items():
+        assert place in (OO, 2, 3)
+        for key, ok in table.items():
+            assert verdicts[place, ncls, key] == ok, (place, ncls, key)
+
+
+def test_shared_verdicts_decided_once(monkeypatch):
+    monkeypatch.setattr(descent, "_SHARED", {})
+    calls = []
+    solvable = descent.locally_solvable
+
+    def counted(curve, place):
+        calls.append(place)
+        return solvable(curve, place)
+
+    monkeypatch.setattr(descent, "locally_solvable", counted)
+    signed = _signed(120)
+    for sf in signed:
+        selmer_group_oracle(sf)
+    shared = sum(p in (OO, 2, 3) for p in calls)
+    held = sum(map(len, descent._SHARED.values()))
+    assert shared == held <= 2 * 4 + 8 * 64 + 4 * 16
+    calls.clear()
+    for sf in reversed(signed):
+        selmer_group_oracle(sf)
+    assert calls and all(p not in (OO, 2, 3) for p in calls)
+
+
+_ORDER_SCRIPT = """
+import json, random, sys
+from theta_selmer.arith import factor_range
+from theta_selmer.descent import selmer_group_oracle
+ns = [x for m in factor_range(120) for x in (m.value, -m.value)]
+if sys.argv[1] == "shuffled":
+    random.Random(20).shuffle(ns)
+else:
+    ns.sort(reverse=True)
+print(json.dumps({n: [v.bits for v in selmer_group_oracle(n)[1]] for n in ns}))
+"""
+
+
+def test_oracle_answers_do_not_depend_on_history():
+    # fresh interpreters, so the shared table starts empty and fills in
+    # another order than in this process
+    src = os.path.dirname(os.path.dirname(descent.__file__))
+    ascending = sorted(sf.value for sf in _signed(120))
+    want = {n: [v.bits for v in selmer_group_oracle(n)[1]] for n in ascending}
+    for order in ("shuffled", "descending"):
+        proc = subprocess.run([sys.executable, "-c", _ORDER_SCRIPT, order],
+                              env={**os.environ, "PYTHONPATH": src},
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        got = {int(n): bits for n, bits in json.loads(proc.stdout).items()}
+        assert got == want, order
+    # forked pool workers each fill their own copy of the table
+    assert survey.scan_oracle(80, jobs=2) == survey.scan_oracle(80, jobs=1)
 
 
 def test_good_prime_spot_checks():
