@@ -22,6 +22,7 @@ import json
 import math
 import random
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from . import classgroup, descent, gf2, monsky
 from .arith import (
@@ -456,8 +457,6 @@ def _sign_two_radicals(a, b, r2, c, r1):
 
 def _real_contribution(curve, lines, bprimes, rng):
     """sum_i [L_i(P_oo), b_i']_oo with an exact real point."""
-    from fractions import Fraction
-
     for attempt in range(24):
         r = rng if rng is not None else (random.Random(11 + attempt) if attempt else None)
         t, u3, r1, r2, s1, s2 = descent.find_real_point(curve, r)
@@ -540,6 +539,32 @@ def local_pairing_sum(curve, lines, bprimes, places, rng=None):
 
 
 # ---------------------------------------------------------------------------
+# one analysis per (m, theta)
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _Analysis:
+    """What certify, survey.analyze and the family pairings read about
+    E_{m,theta}, each part built once: m factored, the signed curve
+    argument n, M_n, s2 and r4(-m)."""
+
+    m: SquarefreeInteger
+    theta: str
+    n: SquarefreeInteger
+    mm: monsky.MonskyMatrix
+    s2: int
+    r4: int
+
+    @classmethod
+    def of(cls, m: SquarefreeInteger | int, theta: str) -> _Analysis:
+        msf = m if isinstance(m, SquarefreeInteger) else factor_squarefree(m)
+        sf = msf if curve_argument(msf.value, theta) == msf.value else -msf
+        mm = monsky.build_monsky(sf)
+        return cls(msf, theta, sf, mm, monsky.selmer_rank(mm), classgroup.r4(-msf))
+
+
+# ---------------------------------------------------------------------------
 # F19 pairing
 # ---------------------------------------------------------------------------
 
@@ -556,28 +581,30 @@ def _f19_mprime(blocks):
     return gf2.block_assemble([[upper_left, a], [gf2.transpose(a), gf2.zeros(a.nrows, a.ncols)]])
 
 
-def pairing_f19(n: SquarefreeInteger | int, rng: random.Random | None = None,
+def pairing_f19(n: SquarefreeInteger | int | _Analysis, rng: random.Random | None = None,
                 ternary_skip: int = 0, with_torsion_checks: bool = False):
     """<Lambda0, Lambda1> for the n = 19 mod 24, r4(-n) = 1 family.
 
     Computed three ways (closed form, solvability criterion, local sum);
     InternalDisagreement if they differ.  Returns (value, evidence dict).
+    n may be the analysis certify already holds for (n, pi/3).
     """
-    sf = n if isinstance(n, SquarefreeInteger) else factor_squarefree(n)
+    rec = n if isinstance(n, _Analysis) else None
+    sf = rec.n if rec else n if isinstance(n, SquarefreeInteger) else factor_squarefree(n)
     n = sf.value
     if n <= 0 or n % 24 != 19:
         raise HypothesisFailed("n = 19 mod 24 required")
     if sf.eta != 1:
         raise HypothesisFailed("n must be coprime to 6")
-    if classgroup.r4(-sf) != 1:
+    rec = rec or _Analysis.of(sf, THETA_PI3)
+    mm = rec.mm
+    if rec.r4 != 1:
         raise HypothesisFailed("r4(-n) = 1 required")
-    mm = monsky.build_monsky(sf)
-    s2 = monsky.selmer_rank(mm)
-    if s2 != 4:
-        raise InternalDisagreement(f"s2 = {s2} but the family forces s2 = 4")
+    if rec.s2 != 4:
+        raise InternalDisagreement(f"s2 = {rec.s2} but the family forces s2 = 4")
     t = sf.t
     blocks = monsky.build_blocks(sf)
-    d_star, x1 = classgroup.splitting_divisor(sf)
+    d_star, x1 = classgroup.splitting_divisor(blocks)
 
     # Lambda0 = (d, 1) must be a Selmer class
     lam0_vec = encode_pair(d_star, 1, sf)
@@ -707,7 +734,7 @@ def split_pq(m: SquarefreeInteger | int) -> tuple[int, int] | None:
 
 
 def pairing_pq(p: int, q: int, family: str, rng: random.Random | None = None,
-               ternary_skip: int = 0):
+               ternary_skip: int = 0, _analysis: _Analysis | None = None):
     """<(1,p), (3^u q, 1)> resp. <(1,p), ((-1)^u q, 1)> for n = p q.
 
     Requires [p/q] = 0 (the [p/q] = 1 branch needs no pairing).  The value
@@ -717,6 +744,7 @@ def pairing_pq(p: int, q: int, family: str, rng: random.Random | None = None,
     recorded; it differs from the true pairing in residue classes where
     [a/q] = 1 is forced or where q = 5 mod 8 adds a 2-adic term, and the
     discrepancy is reported rather than silently patched (see selfcheck).
+    _analysis is the analysis certify already holds for (p q, theta).
     """
     if p % 3 != 1:
         p, q = q, p
@@ -727,12 +755,12 @@ def pairing_pq(p: int, q: int, family: str, rng: random.Random | None = None,
         if n % 24 != 5:
             raise HypothesisFailed("pq = 5 mod 24 required")
         form_sign = -1
-        n_signed = n
+        theta = THETA_PI3
     elif family == FAMILY_F11:
         if n % 24 != 11:
             raise HypothesisFailed("pq = 11 mod 24 required")
         form_sign = +1
-        n_signed = -n
+        theta = THETA_2PI3
     else:
         raise ValueError(f"unknown family {family!r}")
     if legendre_additive(p, q) != 0:
@@ -759,10 +787,8 @@ def pairing_pq(p: int, q: int, family: str, rng: random.Random | None = None,
     # The printed 3^u / (-1)^u recipes do not always land in Sel_2 (for
     # [-1/p] = 1 the F11 recipe misses), and pairing against a non-Selmer
     # class is not even well defined, so the sign is read off ker M_n.
-    # pq = 5 or 11 mod 24 is prime to 6, so p and q are all of n's primes
-    sign = 1 if n_signed > 0 else -1
-    sfn = SquarefreeInteger(n_signed, sign, False, False, tuple(sorted((p, q))))
-    mm = monsky.build_monsky(sfn)
+    _analysis = _analysis or _Analysis.of(n, theta)
+    sfn, mm = _analysis.n, _analysis.mm
     recipe_b1p = (3**u) * q if family == FAMILY_F5 else (-1) ** u * q
     b1p = None
     for cand in (recipe_b1p, q, -q, 3 * q, -3 * q):
@@ -841,25 +867,28 @@ class Certificate:
         return json.dumps(payload, sort_keys=True, default=str)
 
 
-def certify(m: int, theta: str, rng: random.Random | None = None) -> Certificate:
+def certify(m: SquarefreeInteger | int | _Analysis, theta: str,
+            rng: random.Random | None = None) -> Certificate:
     """Decide whether m is certified non-theta-congruent.
 
     Cascade: torsion-only Selmer group (s2 = 2), then the Cassels-pairing
-    families, then parity-only information.
+    families, then parity-only information.  m may be already factored, or
+    the analysis survey.analyze built for (m, theta).
     """
-    if m in (1, 2, 3, 6):
+    rec = m if isinstance(m, _Analysis) else None
+    value = rec.m.value if rec else m.value if isinstance(m, SquarefreeInteger) else m
+    if value in (1, 2, 3, 6):
         raise ExcludedSmallN("the n | 6 cases are excluded from rank certificates")
-    if m <= 0:
+    if value <= 0:
         raise ValueError("m must be a positive tiling-number candidate")
-    n = curve_argument(m, theta)
-    msf = factor_squarefree(m)
-    sf = msf if n == m else -msf
-    mm = monsky.build_monsky(sf)
-    s2 = monsky.selmer_rank(mm)
-    r4m = classgroup.r4(-msf)
+    if rec is None:
+        rec = _Analysis.of(m, theta)
+    elif rec.theta != theta:
+        raise ValueError(f"the analysis is of theta {rec.theta!r}, not {theta!r}")
+    m, msf, sf, s2, r4m = value, rec.m, rec.n, rec.s2, rec.r4
     evidence: dict = {
-        "n": n,
-        "template": mm.template,
+        "n": sf.value,
+        "template": rec.mm.template,
         "s2": s2,
         "r4_minus_m": r4m,
         "parity_predicted": monsky.predicted_parity(m, theta),
@@ -892,7 +921,7 @@ def certify(m: int, theta: str, rng: random.Random | None = None) -> Certificate
         return Certificate(m, theta, KIND_S2EQ2, s2, evidence)
 
     if family == FAMILY_F19:
-        value, ev = pairing_f19(sf, rng=rng)
+        value, ev = pairing_f19(rec, rng=rng)
         evidence["pairing"] = ev
         if value == 1:
             evidence["sha"] = "(Z/2)^2"
@@ -900,7 +929,7 @@ def certify(m: int, theta: str, rng: random.Random | None = None) -> Certificate
         return Certificate(m, theta, KIND_UNKNOWN, s2, evidence)
 
     if family in (FAMILY_F5, FAMILY_F11) and legendre_additive(*pq) == 0:
-        value, ev = pairing_pq(*pq, family, rng=rng)
+        value, ev = pairing_pq(*pq, family, rng=rng, _analysis=rec)
         evidence["pairing"] = ev
         if value == 1:
             evidence["sha"] = "contains (Z/2)^2"

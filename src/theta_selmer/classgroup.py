@@ -109,16 +109,16 @@ def r4(d: SquarefreeInteger | int) -> int:
     return len(rows) - 1 - gf2.rank_rows(rows)
 
 
-def splitting_divisor(n: SquarefreeInteger | int) -> tuple[int, BitVector]:
+def splitting_divisor(n: SquarefreeInteger | int | monsky.Blocks) -> tuple[int, BitVector]:
     """The divisor d* of ntilde giving the nontrivial class in Cl[2] & 2Cl.
 
     Requires eta(n) = 1 and r4(-n) = 1: then ker A is 2-dimensional with
     basis {x1, all-ones}; d* = prod p_i^{x1_i}, canonicalised to the
     lexicographically smaller of the two complementary representatives.
+    n may be given as its Blocks, which are then not built again.
     """
-    if isinstance(n, int):
-        n = factor_squarefree(n)
-    blocks = monsky.build_blocks(n)
+    blocks = n if isinstance(n, monsky.Blocks) else monsky.build_blocks(n)
+    n = blocks.n
     kern = gf2.kernel_basis(blocks.a_matrix)
     if len(kern) != 2:
         raise RankMismatch(f"ker A has dimension {len(kern)}, expected 2 (r4 = 1)")
@@ -138,17 +138,17 @@ def splitting_divisor(n: SquarefreeInteger | int) -> tuple[int, BitVector]:
     return d_star, x1
 
 
-def r8_decision(n: SquarefreeInteger | int, d_star: int, c: int) -> int:
+def r8_decision(n: SquarefreeInteger | int | monsky.Blocks, d_star: int, c: int) -> int:
     """r8 of Cl(Q(sqrt(-n))) under the r4 = 1 hypothesis.
 
     c must come from a primitive solution of 4c^2 = d* a^2 + (n/d*) b^2
-    with gcd(c, n) = 1; then r8 = 0 iff A u = r_c has no solution.
+    with gcd(c, n) = 1; then r8 = 0 iff A u = r_c has no solution.  n may
+    be given as its Blocks, as for splitting_divisor.
     """
-    if isinstance(n, int):
-        n = factor_squarefree(n)
+    blocks = n if isinstance(n, monsky.Blocks) else monsky.build_blocks(n)
+    n = blocks.n
     if c == 0 or any(c % p == 0 for p in n.odd_primes):
         raise MissingTernary(f"c = {c} shares a factor with n or is missing")
-    blocks = monsky.build_blocks(n)
     r_c = BitVector.from_bits(legendre_additive(c, p) for p in n.odd_primes)
     return 0 if gf2.solve(blocks.a_matrix, r_c) is None else 1
 

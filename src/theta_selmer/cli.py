@@ -12,8 +12,8 @@ import json
 import random
 import sys
 
-from . import cassels, descent, survey
-from .arith import ArithError, NotSquarefree
+from . import cassels, descent, selfcheck, survey
+from .arith import ArithError
 from .monsky import THETA_2PI3, THETA_PI3
 
 EX_OK = 0
@@ -81,11 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_analyze(args) -> int:
-    try:
-        row = survey.analyze(args.n, args.theta, with_certificate=True)
-    except NotSquarefree as exc:
-        print(f"error: {args.n} is not squarefree ({exc})", file=sys.stderr)
-        return EX_USAGE
+    row = survey.analyze(args.n, args.theta, with_certificate=True)
     if args.format == "json":
         print(json.dumps(row.__dict__, sort_keys=True))
     elif args.format == "csv":
@@ -98,17 +94,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_certify(args) -> int:
     rng = random.Random(args.seed) if args.seed is not None else None
-    try:
-        cert = cassels.certify(args.n, args.theta, rng=rng)
-    except NotSquarefree as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EX_USAGE
-    except cassels.ExcludedSmallN as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EX_USAGE
-    except (cassels.NotFound, descent.Undecided) as exc:
-        print(f"escalation: {exc}", file=sys.stderr)
-        return EX_UNDECIDED
+    cert = cassels.certify(args.n, args.theta, rng=rng)
     print(cert.to_json())
     return EX_OK
 
@@ -116,14 +102,10 @@ def cmd_certify(args) -> int:
 def cmd_survey(args) -> int:
     thetas = (args.theta,) if args.theta else (THETA_PI3, THETA_2PI3)
     jobs = args.jobs if args.jobs is not None else survey.default_jobs()
-    try:
-        rows = survey.survey_range(
-            args.max, thetas=thetas, jobs=jobs,
-            with_certificates=args.certificates, oracle_max=args.oracle_max,
-        )
-    except (cassels.NotFound, descent.Undecided) as exc:
-        print(f"escalation: {exc}", file=sys.stderr)
-        return EX_UNDECIDED
+    rows = survey.survey_range(
+        args.max, thetas=thetas, jobs=jobs,
+        with_certificates=args.certificates, oracle_max=args.oracle_max,
+    )
     if args.format == "json":
         print(survey.rows_to_json(rows))
     else:
@@ -149,11 +131,7 @@ def cmd_verify_parity(args) -> int:
 
 def cmd_verify_oracle(args) -> int:
     jobs = args.jobs if args.jobs is not None else survey.default_jobs()
-    try:
-        failures, triples = survey.scan_oracle(args.max, jobs=jobs)
-    except descent.Undecided as exc:
-        print(f"escalation: {exc}", file=sys.stderr)
-        return EX_UNDECIDED
+    failures, triples = survey.scan_oracle(args.max, jobs=jobs)
     print(json.dumps({"schema": survey.SCHEMA_VERSION,
                       "checked": len(triples),
                       "failures": failures}, sort_keys=True, default=str))
@@ -174,8 +152,6 @@ def cmd_density(args) -> int:
 
 
 def cmd_selfcheck(args) -> int:
-    from . import selfcheck
-
     findings = selfcheck.run_all(max_n=args.max)
     print(json.dumps(findings, sort_keys=True, indent=2, default=str))
     return EX_OK
@@ -194,9 +170,12 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except ArithError as exc:
+    except (ArithError, cassels.ExcludedSmallN) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EX_USAGE
+    except (cassels.NotFound, descent.Undecided) as exc:
+        print(f"escalation: {exc}", file=sys.stderr)
+        return EX_UNDECIDED
 
 
 if __name__ == "__main__":

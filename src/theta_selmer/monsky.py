@@ -265,8 +265,10 @@ def _a_rows(primes) -> list[int]:
     return rows
 
 
-def build_blocks(n: SquarefreeInteger) -> Blocks:
+def build_blocks(n: SquarefreeInteger | int) -> Blocks:
     """A and the eight r_d, d in {+-1, +-2, +-3, +-6}."""
+    if isinstance(n, int):
+        n = factor_squarefree(n)
     a = BitMatrix(n.t, n.t, tuple(_a_rows(n.odd_primes)))
     syms = _symbol_rows(n.odd_primes)
     r = {d: BitVector(n.t, _r_bits(d, *syms)) for d in (1, -1, 2, -2, 3, -3, 6, -6)}

@@ -5,7 +5,9 @@ informational; findings are data, not build failures.
 
 from __future__ import annotations
 
-from . import cassels, classgroup, descent, survey
+import math
+
+from . import cassels, classgroup, descent, monsky, survey
 from .arith import factor_range, factor_squarefree, legendre_additive
 from .monsky import TwoCoverClass
 
@@ -120,9 +122,7 @@ def probe_pq_criterion(max_n: int = 6000) -> dict:
 def probe_fk_formula() -> dict:
     """The remark says 14.43% for positive discriminants but the displayed
     k-formula gives 2*C at k=0; both recorded along with small-range data."""
-    import math
-
-    c = math.prod(1 - 0.5**i for i in range(1, 64))
+    c = survey.fk_density(0, -1)
     reports = survey.scan_r4_density(50000)
     return {
         "probe": "Fouvry-Kluners density formula vs remark vs finite-range data",
@@ -148,13 +148,12 @@ def probe_r8_oracle(max_n: int = 4000) -> dict:
         n = sf.value
         if n % 24 != 19 or sf.eta != 1 or classgroup.r4(-sf) != 1:
             continue
-        d_star, _ = classgroup.splitting_divisor(sf)
-        sol = cassels.solve_ternary("4c2=da2+(n/d)b2", (d_star, n))
-        import math
-
+        blocks = monsky.build_blocks(sf)
+        d_star, _ = classgroup.splitting_divisor(blocks)
+        sol = cassels.solve_ternary("4c2=da2+(n/d)b2", (d_star, sf))
         if math.gcd(sol.c, n) != 1:
             continue
-        r8_linear = classgroup.r8_decision(sf, d_star, sol.c)
+        r8_linear = classgroup.r8_decision(blocks, d_star, sol.c)
         r8_forms = classgroup.forms_class_group(-n).r8
         checked.append(n)
         if r8_linear != r8_forms:

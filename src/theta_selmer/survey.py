@@ -62,32 +62,28 @@ class DensityReport:
 
 def analyze(m: SquarefreeInteger | int, theta: str, with_certificate: bool = True,
             with_oracle: bool = False) -> SurveyRow:
-    """Everything the survey records about one (m, theta)."""
-    msf = m if isinstance(m, SquarefreeInteger) else factor_squarefree(m)
-    m = msf.value
-    n = monsky.curve_argument(m, theta)
-    sf = msf if n == m else -msf
-    mm = monsky.build_monsky(sf)
-    s2 = monsky.selmer_rank(mm)
+    """Everything the survey records about one (m, theta), read off the one
+    analysis of (m, theta) that the certificate step reads too."""
+    rec = cassels._Analysis.of(m, theta)
+    m, sf, s2 = rec.m.value, rec.n, rec.s2
     predicted = monsky.predicted_parity(m, theta)
     parity_ok = ("even" if s2 % 2 == 0 else "odd") == predicted
-    r4 = classgroup.r4(-msf)
     kind = ""
     if with_certificate:
         try:
-            kind = cassels.certify(m, theta).kind
+            kind = cassels.certify(rec, theta).kind
         except cassels.ExcludedSmallN:
             kind = "excluded_small"
     oracle_checked = False
     if with_oracle and sf.t <= 4:
         dim = descent.oracle_selmer_dimension(sf)
         if dim != s2:
-            raise AssertionError(f"oracle dimension {dim} != s2 {s2} at n={n}")
+            raise AssertionError(f"oracle dimension {dim} != s2 {s2} at n={sf.value}")
         oracle_checked = True
     return SurveyRow(
-        n=n, theta=theta, eta=sf.eta, ntilde=sf.ntilde, t=sf.t,
-        residue24=m % 24, template=mm.template, s2=s2,
-        parity_predicted=predicted, parity_ok=parity_ok, r4=r4,
+        n=sf.value, theta=theta, eta=sf.eta, ntilde=sf.ntilde, t=sf.t,
+        residue24=m % 24, template=rec.mm.template, s2=s2,
+        parity_predicted=predicted, parity_ok=parity_ok, r4=rec.r4,
         certificate_kind=kind, oracle_checked=oracle_checked,
     )
 
@@ -170,10 +166,8 @@ def diagnose_oracle_mismatch(n: int):
     oracle_bits = {v.bits for v in vectors}
     out = []
     dim = 2 * sf.t + 6
-    from .gf2 import BitVector
-
     for bits in range(1 << dim):
-        v = BitVector(dim, bits)
+        v = gf2.BitVector(dim, bits)
         in_kernel = mm.matrix.mul_vec(v).is_zero()
         if in_kernel == (bits in oracle_bits):
             continue
@@ -250,11 +244,7 @@ def scan_r4_density(max_absD: int) -> list[DensityReport]:
 
 def _cert_one(args):
     m, theta = args
-    try:
-        cert = cassels.certify(m, theta)
-        return (m, cert.kind, cert.s2)
-    except cassels.ExcludedSmallN:
-        return (m, "excluded_small", -1)
+    return cassels.certify(m, theta).kind
 
 
 def scan_certification(family: str, max_n: int, jobs: int = 1) -> DensityReport:
@@ -262,26 +252,36 @@ def scan_certification(family: str, max_n: int, jobs: int = 1) -> DensityReport:
 
     F5 / F11: semiprimes pq = 5 resp. 11 mod 24 (target >= 0.72 at 1e5);
     cor15 / cor16: the r4 = 0 corollary classes, where every member must
-    get a RankZero_S2eq2 certificate.
+    get a RankZero_S2eq2 certificate.  Each member reaches certify factored,
+    and a corollary member as the analysis its r4(-m) filter built.
     """
     fam = family.lower()
     if fam in ("f5", "f11"):
         residue = 5 if fam == "f5" else 11
         theta = monsky.THETA_PI3 if fam == "f5" else monsky.THETA_2PI3
         items = [
-            (m.value, theta)
+            (m, theta)
             for m in factor_range(max_n)
             if m.value % 24 == residue and cassels.split_pq(m)
         ]
-        results = _pmap(_cert_one, items, jobs)
-        counts: dict[str, int] = {}
-        certified = 0
-        for _, kind, _ in results:
-            counts[kind] = counts.get(kind, 0) + 1
-            if kind in (cassels.KIND_S2EQ2, cassels.KIND_CASSELS,
-                        cassels.KIND_THM71, cassels.KIND_THM72):
-                certified += 1
-        size = len(results)
+    elif fam in ("cor15", "cor16"):
+        residues = (3, 7, 15, 19) if fam == "cor15" else (2, 3, 6, 11, 14, 18)
+        theta = monsky.THETA_PI3 if fam == "cor15" else monsky.THETA_2PI3
+        recs = (
+            cassels._Analysis.of(m, theta)
+            for m in factor_range(max_n)
+            if m.value % 24 in residues and m.value not in (2, 3, 6)
+        )
+        items = [(rec, theta) for rec in recs if rec.r4 == 0]
+    else:
+        raise ValueError(f"unknown family {family!r}")
+    counts: dict[str, int] = {}
+    for kind in _pmap(_cert_one, items, jobs):
+        counts[kind] = counts.get(kind, 0) + 1
+    size = len(items)
+    if fam in ("f5", "f11"):
+        certified = sum(counts.get(k, 0) for k in (
+            cassels.KIND_S2EQ2, cassels.KIND_CASSELS, cassels.KIND_THM71, cassels.KIND_THM72))
         frac = certified / size if size else None
         return DensityReport(
             population=f"pq = {residue} mod 24, pq <= {max_n}",
@@ -289,31 +289,14 @@ def scan_certification(family: str, max_n: int, jobs: int = 1) -> DensityReport:
             target=0.75, tolerance=0.03,
             passed=(size == 0) or frac >= 0.72, empty=size == 0,
         )
-    if fam in ("cor15", "cor16"):
-        residues = (3, 7, 15, 19) if fam == "cor15" else (2, 3, 6, 11, 14, 18)
-        theta = monsky.THETA_PI3 if fam == "cor15" else monsky.THETA_2PI3
-        items = [
-            (m.value, theta)
-            for m in factor_range(max_n)
-            if m.value % 24 in residues and m.value not in (2, 3, 6)
-            and classgroup.r4(-m) == 0
-        ]
-        results = _pmap(_cert_one, items, jobs)
-        counts = {}
-        good = 0
-        for _, kind, _ in results:
-            counts[kind] = counts.get(kind, 0) + 1
-            if kind == cassels.KIND_S2EQ2:
-                good += 1
-        size = len(results)
-        return DensityReport(
-            population=f"{fam}: m = {residues} mod 24, r4(-m) = 0, m <= {max_n}",
-            size=size, counts=counts,
-            fraction=good / size if size else None,
-            target=1.0, tolerance=0.0,
-            passed=good == size, empty=size == 0,
-        )
-    raise ValueError(f"unknown family {family!r}")
+    good = counts.get(cassels.KIND_S2EQ2, 0)
+    return DensityReport(
+        population=f"{fam}: m = {residues} mod 24, r4(-m) = 0, m <= {max_n}",
+        size=size, counts=counts,
+        fraction=good / size if size else None,
+        target=1.0, tolerance=0.0,
+        passed=good == size, empty=size == 0,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from theta_selmer import cassels, classgroup, descent, monsky
+from theta_selmer import cassels, classgroup, descent, monsky, survey
 from theta_selmer.arith import (
     OO,
     factor_range,
@@ -384,6 +384,43 @@ def test_families_projection_unchanged():
             )
         h.update(repr((m, theta, cert.kind, cert.s2, local_sum, places)).encode())
     assert h.hexdigest() == FAMILIES_PROJECTION
+
+
+# one input per branch of certify, from the families range [9e4, 1e5)
+ONE_PER_BRANCH = [
+    (90007, "pi3", KIND_S2EQ2),  # s2 = 2
+    (90029, "pi3", KIND_CASSELS),  # F5 pairing
+    (90131, "2pi3", KIND_UNKNOWN),  # F11 pairing
+    (90043, "pi3", KIND_UNKNOWN),  # F19 pairing
+]
+
+
+@pytest.mark.parametrize("m,theta,kind", ONE_PER_BRANCH)
+def test_each_analysis_built_once(monkeypatch, m, theta, kind):
+    calls = {}
+    for mod, name in ((monsky, "build_monsky"), (monsky, "build_blocks"), (classgroup, "r4")):
+        def counted(*args, _fn=getattr(mod, name), _name=name, **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(mod, name, counted)
+    for run in (lambda: certify(m, theta).kind,
+                lambda: certify(factor_squarefree(m), theta).kind,
+                lambda: survey.analyze(m, theta, with_certificate=True).certificate_kind):
+        calls.clear()
+        assert run() == kind
+        assert calls["build_monsky"] == calls["r4"] == 1, calls
+        assert calls.get("build_blocks", 0) <= 1, calls
+
+
+@pytest.mark.parametrize("m,theta,kind", ONE_PER_BRANCH)
+def test_certify_same_from_int_factored_or_analysis(m, theta, kind):
+    want = certify(m, theta).to_json()
+    assert certify(factor_squarefree(m), theta).to_json() == want
+    assert certify(cassels._Analysis.of(m, theta), theta).to_json() == want
+    other = "2pi3" if theta == "pi3" else "pi3"
+    with pytest.raises(ValueError):
+        certify(cassels._Analysis.of(m, other), theta)
 
 
 def test_certify_excluded_small():

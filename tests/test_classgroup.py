@@ -200,6 +200,20 @@ def test_splitting_divisor_rank_mismatch():
         splitting_divisor(factor_squarefree(7))  # r4(-7) = 0
 
 
+def test_splitting_divisor_and_r8_accept_blocks():
+    from theta_selmer import monsky
+
+    for n in (259, 355, 667, 763):
+        sf = factor_squarefree(n)
+        blocks = monsky.build_blocks(sf)
+        d_star, x1 = splitting_divisor(blocks)
+        assert (d_star, x1) == splitting_divisor(sf) == splitting_divisor(n)
+        for c in (1, 2, 3):  # prime to n
+            want = classgroup.r8_decision(sf, d_star, c)
+            assert classgroup.r8_decision(blocks, d_star, c) == want
+            assert classgroup.r8_decision(n, d_star, c) == want
+
+
 def test_r8_trivial_case():
     # r_c = 0 makes A u = 0 solvable, so r8 = 1
     sf = factor_squarefree(259)

@@ -1,10 +1,12 @@
-"""No module of the package imports a name it never uses, and no private
-helper is left that nothing calls.
+"""No module of the package imports a name it never uses or imports inside
+a function, and no private helper is left that nothing calls.
 
 A stdlib stand-in for a linter's unused-import rule: every name bound by an
 import statement must be read somewhere in the module, or be listed in its
-``__all__`` (the package's re-exports).  The dead-helper guard asks the same
-of module-level private functions and classes, across the whole package.
+``__all__`` (the package's re-exports).  Every import sits at module level,
+so a module's dependencies are all in its header.  The dead-helper guard
+asks the same of module-level private functions and classes, across the
+whole package.
 """
 
 import ast
@@ -48,6 +50,34 @@ def test_detector_flags_an_unused_import():
 )
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def function_imports(source: str) -> list[str]:
+    """Import statements anywhere inside a function body."""
+    return sorted(
+        f"line {node.lineno}: {func.name}"
+        for func in ast.walk(ast.parse(source))
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(func)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+    )
+
+
+def test_detector_flags_a_function_import():
+    src = (
+        "import os\n"
+        "def f():\n    import math\n    return math.pi\n"
+        "class C:\n    def g(self):\n        for _ in ():\n            from . import x\n"
+        "def h():\n    return os.sep\n"
+    )
+    assert function_imports(src) == ["line 3: f", "line 8: g"]
+
+
+@pytest.mark.parametrize(
+    "path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name
+)
+def test_no_function_local_imports(path):
+    assert function_imports(path.read_text()) == []
 
 
 def dead_helpers(sources: dict[str, str]) -> list[str]:

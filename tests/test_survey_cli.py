@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from theta_selmer import cassels, classgroup, cli, survey
+from theta_selmer import cassels, classgroup, cli, descent, survey
 from theta_selmer.arith import factor_squarefree, is_squarefree
 from theta_selmer.monsky import THETA_2PI3, THETA_PI3
 
@@ -107,6 +107,20 @@ def test_cli_analyze_not_squarefree_exit_64():
     code, out, err = run_cli("analyze", "12", "--theta", "pi3")
     assert code == 64
     assert "squarefree" in err
+
+
+@pytest.mark.parametrize(
+    "exc", [cassels.NotFound(64), descent.Undecided(17, 40)], ids=["NotFound", "Undecided"]
+)
+def test_cli_escalation_exit_3(monkeypatch, capsys, exc):
+    # 221 = 13 * 17 is an F5 pairing input, so both commands reach the ternary search
+    def escalate(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cassels, "solve_ternary", escalate)
+    for command in ("analyze", "certify"):
+        assert cli.main([command, "221", "--theta", "pi3"]) == cli.EX_UNDECIDED == 3
+        assert capsys.readouterr().err.startswith("escalation: ")
 
 
 def test_cli_usage_error_exit_64():
