@@ -543,11 +543,32 @@ def local_pairing_sum(curve, lines, bprimes, places, rng=None):
 # ---------------------------------------------------------------------------
 
 
+def split_pq(m: SquarefreeInteger | int) -> tuple[int, int] | None:
+    """(p, q) with m = p*q, p = 1 mod 3, for squarefree semiprime m."""
+    sf = m if isinstance(m, SquarefreeInteger) else factor_squarefree(m)
+    if sf.eta != 1 or sf.t != 2:
+        return None
+    p, q = sf.odd_primes
+    if p % 3 != 1:
+        p, q = q, p
+    if p % 3 != 1:
+        return None
+    return p, q
+
+
+# the (theta, m mod 24) class of each family; F5 and F11 also need m = p q
+# with p = 1 mod 3 (split_pq), and F19 needs eta = 1 (m > 0) and r4(-m) = 1
+_FAMILY_CLASS = {(THETA_PI3, 5): FAMILY_F5, (THETA_2PI3, 11): FAMILY_F11,
+                 (THETA_PI3, 19): FAMILY_F19}
+
+
 @dataclass(frozen=True)
 class _Analysis:
-    """What certify, survey.analyze and the family pairings read about
-    E_{m,theta}, each part built once: m factored, the signed curve
-    argument n, M_n, s2 and r4(-m)."""
+    """What certify, survey.analyze, the family pairings and the scans read
+    about E_{m,theta}, each part built once: m factored, the signed curve
+    argument n, M_n, s2, r4(-m), the split m = p q of split_pq and the
+    certified family (m, theta) belongs to, if any.  Family membership is
+    decided here and nowhere else."""
 
     m: SquarefreeInteger
     theta: str
@@ -555,13 +576,19 @@ class _Analysis:
     mm: monsky.MonskyMatrix
     s2: int
     r4: int
+    pq: tuple[int, int] | None
+    family: str | None
 
     @classmethod
     def of(cls, m: SquarefreeInteger | int, theta: str) -> _Analysis:
         msf = m if isinstance(m, SquarefreeInteger) else factor_squarefree(m)
         sf = msf if curve_argument(msf.value, theta) == msf.value else -msf
         mm = monsky.build_monsky(sf)
-        return cls(msf, theta, sf, mm, monsky.selmer_rank(mm), classgroup.r4(-msf))
+        r4, pq = classgroup.r4(-msf), split_pq(msf)
+        family = _FAMILY_CLASS.get((theta, msf.value % 24))
+        member = msf.eta == 1 and r4 == 1 if family == FAMILY_F19 else pq is not None
+        return cls(msf, theta, sf, mm, monsky.selmer_rank(mm), r4, pq,
+                   family if member else None)
 
 
 # ---------------------------------------------------------------------------
@@ -589,17 +616,11 @@ def pairing_f19(n: SquarefreeInteger | int | _Analysis, rng: random.Random | Non
     InternalDisagreement if they differ.  Returns (value, evidence dict).
     n may be the analysis certify already holds for (n, pi/3).
     """
-    rec = n if isinstance(n, _Analysis) else None
-    sf = rec.n if rec else n if isinstance(n, SquarefreeInteger) else factor_squarefree(n)
+    rec = n if isinstance(n, _Analysis) else _Analysis.of(n, THETA_PI3)
+    if rec.family != FAMILY_F19:
+        raise HypothesisFailed("n = 19 mod 24 with r4(-n) = 1 required")
+    sf, mm = rec.n, rec.mm
     n = sf.value
-    if n <= 0 or n % 24 != 19:
-        raise HypothesisFailed("n = 19 mod 24 required")
-    if sf.eta != 1:
-        raise HypothesisFailed("n must be coprime to 6")
-    rec = rec or _Analysis.of(sf, THETA_PI3)
-    mm = rec.mm
-    if rec.r4 != 1:
-        raise HypothesisFailed("r4(-n) = 1 required")
     if rec.s2 != 4:
         raise InternalDisagreement(f"s2 = {rec.s2} but the family forces s2 = 4")
     t = sf.t
@@ -720,19 +741,6 @@ def pairing_f19(n: SquarefreeInteger | int | _Analysis, rng: random.Random | Non
 # ---------------------------------------------------------------------------
 
 
-def split_pq(m: SquarefreeInteger | int) -> tuple[int, int] | None:
-    """(p, q) with m = p*q, p = 1 mod 3, for squarefree semiprime m."""
-    sf = m if isinstance(m, SquarefreeInteger) else factor_squarefree(m)
-    if sf.eta != 1 or sf.t != 2:
-        return None
-    p, q = sf.odd_primes
-    if p % 3 != 1:
-        p, q = q, p
-    if p % 3 != 1:
-        return None
-    return p, q
-
-
 def pairing_pq(p: int, q: int, family: str, rng: random.Random | None = None,
                ternary_skip: int = 0, _analysis: _Analysis | None = None):
     """<(1,p), (3^u q, 1)> resp. <(1,p), ((-1)^u q, 1)> for n = p q.
@@ -746,23 +754,15 @@ def pairing_pq(p: int, q: int, family: str, rng: random.Random | None = None,
     discrepancy is reported rather than silently patched (see selfcheck).
     _analysis is the analysis certify already holds for (p q, theta).
     """
-    if p % 3 != 1:
-        p, q = q, p
-    if p % 3 != 1:
-        raise HypothesisFailed("one of p, q must be 1 mod 3")
-    n = p * q
-    if family == FAMILY_F5:
-        if n % 24 != 5:
-            raise HypothesisFailed("pq = 5 mod 24 required")
-        form_sign = -1
-        theta = THETA_PI3
-    elif family == FAMILY_F11:
-        if n % 24 != 11:
-            raise HypothesisFailed("pq = 11 mod 24 required")
-        form_sign = +1
-        theta = THETA_2PI3
-    else:
+    if family not in (FAMILY_F5, FAMILY_F11):
         raise ValueError(f"unknown family {family!r}")
+    rec = _analysis or _Analysis.of(p * q, THETA_PI3 if family == FAMILY_F5 else THETA_2PI3)
+    if rec.family != family:
+        raise HypothesisFailed(f"{p} * {q} is not a member of {family}")
+    # pq = 2 mod 3, so exactly one prime is 1 mod 3 and rec.pq puts it first
+    p, q = rec.pq
+    n = p * q
+    form_sign = -1 if family == FAMILY_F5 else +1
     if legendre_additive(p, q) != 0:
         raise HypothesisFailed("[p/q] = 0 required for the pairing branch")
 
@@ -787,8 +787,7 @@ def pairing_pq(p: int, q: int, family: str, rng: random.Random | None = None,
     # The printed 3^u / (-1)^u recipes do not always land in Sel_2 (for
     # [-1/p] = 1 the F11 recipe misses), and pairing against a non-Selmer
     # class is not even well defined, so the sign is read off ker M_n.
-    _analysis = _analysis or _Analysis.of(n, theta)
-    sfn, mm = _analysis.n, _analysis.mm
+    sfn, mm = rec.n, rec.mm
     recipe_b1p = (3**u) * q if family == FAMILY_F5 else (-1) ** u * q
     b1p = None
     for cand in (recipe_b1p, q, -q, 3 * q, -3 * q):
@@ -885,39 +884,24 @@ def certify(m: SquarefreeInteger | int | _Analysis, theta: str,
         rec = _Analysis.of(m, theta)
     elif rec.theta != theta:
         raise ValueError(f"the analysis is of theta {rec.theta!r}, not {theta!r}")
-    m, msf, sf, s2, r4m = value, rec.m, rec.n, rec.s2, rec.r4
+    m, s2, family, pq = value, rec.s2, rec.family, rec.pq
     evidence: dict = {
-        "n": sf.value,
+        "n": rec.n.value,
         "template": rec.mm.template,
         "s2": s2,
-        "r4_minus_m": r4m,
+        "r4_minus_m": rec.r4,
         "parity_predicted": monsky.predicted_parity(m, theta),
     }
-
-    pq = split_pq(msf)
-    family = None
-    if theta == THETA_PI3 and m % 24 == 5 and pq:
-        family = FAMILY_F5
-    elif theta == THETA_2PI3 and m % 24 == 11 and pq:
-        family = FAMILY_F11
-    elif theta == THETA_PI3 and m % 24 == 19 and sf.eta == 1 and r4m == 1:
-        family = FAMILY_F19
     if family:
         evidence["family"] = family
 
-    # the r4 = 0 corollary classes take the generic s2 = 2 label even when
-    # the pq short-circuit also applies (m = 11 mod 24 sits in both)
-    cor_classes = (3, 7, 15, 19) if theta == THETA_PI3 else (2, 3, 6, 11, 14, 18)
     if s2 == 2:
-        if (
-            family in (FAMILY_F5, FAMILY_F11)
-            and legendre_additive(*pq) == 1
-            and m % 24 not in cor_classes
-        ):
+        # m = 11 mod 24 is also an r4 corollary class at 2pi/3, whose s2 = 2
+        # members keep the generic label, so F11 never takes KIND_THM72
+        if family == FAMILY_F5 and legendre_additive(*pq) == 1:
             evidence["criterion"] = "[p/q] = 1, Selmer group is torsion only"
             evidence["p"], evidence["q"] = pq
-            kind = KIND_THM71 if family == FAMILY_F5 else KIND_THM72
-            return Certificate(m, theta, kind, s2, evidence)
+            return Certificate(m, theta, KIND_THM71, s2, evidence)
         return Certificate(m, theta, KIND_S2EQ2, s2, evidence)
 
     if family == FAMILY_F19:
@@ -928,7 +912,7 @@ def certify(m: SquarefreeInteger | int | _Analysis, theta: str,
             return Certificate(m, theta, KIND_CASSELS, s2, evidence)
         return Certificate(m, theta, KIND_UNKNOWN, s2, evidence)
 
-    if family in (FAMILY_F5, FAMILY_F11) and legendre_additive(*pq) == 0:
+    if family and legendre_additive(*pq) == 0:
         value, ev = pairing_pq(*pq, family, rng=rng, _analysis=rec)
         evidence["pairing"] = ev
         if value == 1:

@@ -101,9 +101,8 @@ def cmd_certify(args) -> int:
 
 def cmd_survey(args) -> int:
     thetas = (args.theta,) if args.theta else (THETA_PI3, THETA_2PI3)
-    jobs = args.jobs if args.jobs is not None else survey.default_jobs()
     rows = survey.survey_range(
-        args.max, thetas=thetas, jobs=jobs,
+        args.max, thetas=thetas, jobs=args.jobs,
         with_certificates=args.certificates, oracle_max=args.oracle_max,
     )
     if args.format == "json":
@@ -118,8 +117,7 @@ def cmd_survey(args) -> int:
 
 
 def cmd_verify_parity(args) -> int:
-    jobs = args.jobs if args.jobs is not None else survey.default_jobs()
-    report, failures, _ = survey.scan_parity(args.max, jobs=jobs)
+    report, failures, _ = survey.scan_parity(args.max, jobs=args.jobs)
     print(json.dumps(report.as_dict(), sort_keys=True))
     if failures:
         for r in failures:
@@ -130,8 +128,7 @@ def cmd_verify_parity(args) -> int:
 
 
 def cmd_verify_oracle(args) -> int:
-    jobs = args.jobs if args.jobs is not None else survey.default_jobs()
-    failures, triples = survey.scan_oracle(args.max, jobs=jobs)
+    failures, triples = survey.scan_oracle(args.max, jobs=args.jobs)
     print(json.dumps({"schema": survey.SCHEMA_VERSION,
                       "checked": len(triples),
                       "failures": failures}, sort_keys=True, default=str))
@@ -158,7 +155,17 @@ def cmd_selfcheck(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if getattr(args, "n", 1) < 1:
+        parser.error(f"n must be a positive integer, got {args.n}")
+    if getattr(args, "max", 0) < 0:
+        parser.error(f"--max must be non-negative, got {args.max}")
+    if getattr(args, "jobs", 1) is None:
+        try:
+            args.jobs = survey.default_jobs()
+        except ValueError as exc:
+            parser.error(f"THETA_SELMER_JOBS: {exc}")
     handlers = {
         "analyze": cmd_analyze,
         "certify": cmd_certify,

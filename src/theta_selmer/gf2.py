@@ -43,12 +43,6 @@ class BitVector:
             raise IndexError(i)
         return (self.bits >> i) & 1
 
-    def __len__(self) -> int:
-        return self.n
-
-    def __iter__(self):
-        return iter(self.entries())
-
     def entries(self) -> list[int]:
         return [(self.bits >> i) & 1 for i in range(self.n)]
 
@@ -112,12 +106,6 @@ class BitMatrix:
     def row(self, i: int) -> BitVector:
         return BitVector(self.ncols, self.rows[i])
 
-    def col(self, j: int) -> BitVector:
-        bits = 0
-        for i, r in enumerate(self.rows):
-            bits |= ((r >> j) & 1) << i
-        return BitVector(self.nrows, bits)
-
     def to_lists(self) -> list[list[int]]:
         return [[(r >> j) & 1 for j in range(self.ncols)] for r in self.rows]
 
@@ -145,11 +133,6 @@ class BitMatrix:
             if (v.bits >> i) & 1:
                 acc ^= self.rows[i]
         return BitVector(self.ncols, acc)
-
-    def __str__(self) -> str:
-        return "\n".join(
-            "".join(str((r >> j) & 1) for j in range(self.ncols)) for r in self.rows
-        )
 
 
 def zeros(nrows: int, ncols: int) -> BitMatrix:

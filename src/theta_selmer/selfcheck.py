@@ -58,17 +58,24 @@ def probe_2adic_tables(sample_n=(41, 73, 97)) -> dict:
     }
 
 
+def _f19_members(max_n: int):
+    """The analyses of the n <= max_n in the n = 19 mod 24, r4(-n) = 1 family."""
+    for sf in factor_range(max_n):
+        if sf.value % 24 == 19:
+            rec = cassels._Analysis.of(sf, monsky.THETA_PI3)
+            if rec.family == cassels.FAMILY_F19:
+                yield rec
+
+
 def probe_f19_routes(max_n: int = 4000) -> dict:
     """Closed form / linear system vs the raw local sum on the
     n = 19 mod 24, r4 = 1 family; also the two printed closed forms."""
     by_class: dict[str, list[int]] = {}
     first_vs_final = []
     scanned = []
-    for sf in factor_range(max_n):
-        n = sf.value
-        if n % 24 != 19 or sf.eta != 1 or classgroup.r4(-sf) != 1:
-            continue
-        val, ev = cassels.pairing_f19(sf)
+    for rec in _f19_members(max_n):
+        n = rec.m.value
+        val, ev = cassels.pairing_f19(rec)
         scanned.append(n)
         key = str(tuple(ev["d_class_mod8"]))
         by_class.setdefault(key, []).append(int(ev["closed_form_agrees"]))
@@ -91,16 +98,19 @@ def probe_f19_routes(max_n: int = 4000) -> dict:
 def probe_pq_criterion(max_n: int = 6000) -> dict:
     """[beta/q] (the printed criterion) vs the true pairing."""
     out = {}
-    for family, residue in ((cassels.FAMILY_F5, 5), (cassels.FAMILY_F11, 11)):
+    for family, residue, theta in ((cassels.FAMILY_F5, 5, monsky.THETA_PI3),
+                                   (cassels.FAMILY_F11, 11, monsky.THETA_2PI3)):
         agree = total = 0
         mismatches = []
         sign_fixes = []
         for sf in factor_range(max_n):
             m = sf.value
-            pq = m % 24 == residue and cassels.split_pq(sf)
-            if not pq or legendre_additive(*pq) != 0:
+            if m % 24 != residue:
                 continue
-            val, ev = cassels.pairing_pq(*pq, family)
+            rec = cassels._Analysis.of(sf, theta)
+            if rec.family != family or legendre_additive(*rec.pq) != 0:
+                continue
+            val, ev = cassels.pairing_pq(*rec.pq, family, _analysis=rec)
             total += 1
             if ev["beta_criterion_agrees"]:
                 agree += 1
@@ -144,10 +154,8 @@ def probe_r8_oracle(max_n: int = 4000) -> dict:
     reduced-forms oracle's 8-rank."""
     checked = []
     mismatches = []
-    for sf in factor_range(max_n):
-        n = sf.value
-        if n % 24 != 19 or sf.eta != 1 or classgroup.r4(-sf) != 1:
-            continue
+    for rec in _f19_members(max_n):
+        sf, n = rec.m, rec.m.value
         blocks = monsky.build_blocks(sf)
         d_star, _ = classgroup.splitting_divisor(blocks)
         sol = cassels.solve_ternary("4c2=da2+(n/d)b2", (d_star, sf))

@@ -112,20 +112,9 @@ def _pmap(fn, items, jobs):
 # ---------------------------------------------------------------------------
 
 
-def _parity_one(args):
-    m, theta = args
-    row = analyze(m, theta, with_certificate=False)
-    return row
-
-
 def scan_parity(max_n: int, jobs: int = 1):
     """Both thetas for every squarefree m <= max_n; failures must be empty."""
-    items = [
-        (m, theta)
-        for m in factor_range(max_n)
-        for theta in (monsky.THETA_PI3, monsky.THETA_2PI3)
-    ]
-    rows = _pmap(_parity_one, items, jobs)
+    rows = survey_range(max_n, jobs=jobs)
     failures = [r for r in rows if not r.parity_ok]
     report = DensityReport(
         population=f"squarefree m <= {max_n}, both thetas",
@@ -242,9 +231,18 @@ def scan_r4_density(max_absD: int) -> list[DensityReport]:
     return reports
 
 
-def _cert_one(args):
-    m, theta = args
-    return cassels.certify(m, theta).kind
+def _cert_one(rec):
+    return cassels.certify(rec, rec.theta).kind
+
+
+# each certification scan's (m mod 24) classes, theta and family; the
+# corollary scans take the r4(-m) = 0 members of their classes instead
+_CERT_SCANS = {
+    "f5": ((5,), monsky.THETA_PI3, cassels.FAMILY_F5),
+    "f11": ((11,), monsky.THETA_2PI3, cassels.FAMILY_F11),
+    "cor15": ((3, 7, 15, 19), monsky.THETA_PI3, None),
+    "cor16": ((2, 3, 6, 11, 14, 18), monsky.THETA_2PI3, None),
+}
 
 
 def scan_certification(family: str, max_n: int, jobs: int = 1) -> DensityReport:
@@ -252,39 +250,29 @@ def scan_certification(family: str, max_n: int, jobs: int = 1) -> DensityReport:
 
     F5 / F11: semiprimes pq = 5 resp. 11 mod 24 (target >= 0.72 at 1e5);
     cor15 / cor16: the r4 = 0 corollary classes, where every member must
-    get a RankZero_S2eq2 certificate.  Each member reaches certify factored,
-    and a corollary member as the analysis its r4(-m) filter built.
+    get a RankZero_S2eq2 certificate.  Membership is read off the analysis
+    of each m in the scan's residue classes, which certify then reads too.
     """
     fam = family.lower()
-    if fam in ("f5", "f11"):
-        residue = 5 if fam == "f5" else 11
-        theta = monsky.THETA_PI3 if fam == "f5" else monsky.THETA_2PI3
-        items = [
-            (m, theta)
-            for m in factor_range(max_n)
-            if m.value % 24 == residue and cassels.split_pq(m)
-        ]
-    elif fam in ("cor15", "cor16"):
-        residues = (3, 7, 15, 19) if fam == "cor15" else (2, 3, 6, 11, 14, 18)
-        theta = monsky.THETA_PI3 if fam == "cor15" else monsky.THETA_2PI3
-        recs = (
-            cassels._Analysis.of(m, theta)
-            for m in factor_range(max_n)
-            if m.value % 24 in residues and m.value not in (2, 3, 6)
-        )
-        items = [(rec, theta) for rec in recs if rec.r4 == 0]
-    else:
+    if fam not in _CERT_SCANS:
         raise ValueError(f"unknown family {family!r}")
+    residues, theta, member = _CERT_SCANS[fam]
+    recs = (
+        cassels._Analysis.of(m, theta)
+        for m in factor_range(max_n)
+        if m.value % 24 in residues and m.value not in (2, 3, 6)
+    )
+    items = [rec for rec in recs if (rec.family == member if member else rec.r4 == 0)]
     counts: dict[str, int] = {}
     for kind in _pmap(_cert_one, items, jobs):
         counts[kind] = counts.get(kind, 0) + 1
     size = len(items)
-    if fam in ("f5", "f11"):
+    if member:
         certified = sum(counts.get(k, 0) for k in (
-            cassels.KIND_S2EQ2, cassels.KIND_CASSELS, cassels.KIND_THM71, cassels.KIND_THM72))
+            cassels.KIND_S2EQ2, cassels.KIND_CASSELS, cassels.KIND_THM71))
         frac = certified / size if size else None
         return DensityReport(
-            population=f"pq = {residue} mod 24, pq <= {max_n}",
+            population=f"pq = {residues[0]} mod 24, pq <= {max_n}",
             size=size, counts=counts, fraction=frac,
             target=0.75, tolerance=0.03,
             passed=(size == 0) or frac >= 0.72, empty=size == 0,

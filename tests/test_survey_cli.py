@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
 
@@ -10,10 +11,11 @@ from theta_selmer.arith import factor_squarefree, is_squarefree
 from theta_selmer.monsky import THETA_2PI3, THETA_PI3
 
 
-def run_cli(*argv):
+def run_cli(*argv, env=None):
     proc = subprocess.run(
         [sys.executable, "-m", "theta_selmer.cli", *argv],
         capture_output=True, text=True, timeout=600,
+        env=None if env is None else {**os.environ, **env},
     )
     return proc.returncode, proc.stdout, proc.stderr
 
@@ -124,8 +126,19 @@ def test_cli_escalation_exit_3(monkeypatch, capsys, exc):
 
 
 def test_cli_usage_error_exit_64():
-    code, out, err = run_cli("analyze", "5")
-    assert code == 64
+    cases = [
+        (("analyze", "5"), None),
+        (("survey", "--max", "-1"), None),
+        (("density", "--max", "-1"), None),
+        (("verify-parity", "--max", "-1"), None),
+        (("certify", "-5", "--theta", "pi3"), None),
+        (("analyze", "-5", "--theta", "pi3"), None),
+        (("survey", "--max", "10"), {"THETA_SELMER_JOBS": "abc"}),
+    ]
+    for argv, env in cases:
+        code, out, err = run_cli(*argv, env=env)
+        assert code == 64, (argv, env, err)
+        assert err.startswith("error: ") and "Traceback" not in err, (argv, err)
 
 
 def test_cli_verify_parity():
