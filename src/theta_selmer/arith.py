@@ -204,8 +204,10 @@ def factor_squarefree(n: int) -> SquarefreeInteger:
     return SquarefreeInteger(n, sign, has_two, has_three, tuple(primes))
 
 
-def factor_range(limit: int):
-    """Yield SquarefreeInteger(m) for every squarefree 1 <= m <= limit, ascending.
+def squarefree_walk(limit: int, even_limit: int | None = None):
+    """Yield (m, odd) for every squarefree 1 <= m <= limit, ascending, where
+    odd are the odd primes of m, 3 included, ascending; even m are walked
+    only up to even_limit (default limit).
 
     One smallest-prime-factor sieve serves the whole range, so a scan
     factors each m exactly once.
@@ -218,16 +220,24 @@ def factor_range(limit: int):
     for p in reversed(sieve_primes(math.isqrt(limit))):
         spf[p * p :: p] = array("l", [p]) * ((limit - p * p) // p + 1)
         squarefree[p * p :: p * p] = bytes((limit - p * p) // (p * p) + 1)
+    if even_limit is not None:
+        start = even_limit // 2 * 2 + 2
+        squarefree[start::2] = bytes(len(range(start, limit + 1, 2)))
     for m in itertools.compress(range(limit + 1), squarefree):
-        k = m // 2 if m % 2 == 0 else m
-        if k % 3 == 0:
-            k //= 3
-        primes = []
+        k = m if m & 1 else m >> 1
+        odd = []
         while k > 1:
             p = spf[k]
-            primes.append(p)
+            odd.append(p)
             k //= p
-        yield SquarefreeInteger(m, 1, m % 2 == 0, m % 3 == 0, tuple(primes))
+        yield m, tuple(odd)
+
+
+def factor_range(limit: int):
+    """Yield SquarefreeInteger(m) for every squarefree 1 <= m <= limit, ascending."""
+    for m, odd in squarefree_walk(limit):
+        three = m % 3 == 0
+        yield SquarefreeInteger(m, 1, m % 2 == 0, three, odd[three:])
 
 
 def is_squarefree(n: int) -> bool:
@@ -258,14 +268,18 @@ def legendre_additive(a: int, p: int) -> int:
 
 def legendre_table(primes) -> list[int]:
     """Bit j of row i is [p_j/p_i] over distinct odd primes, bit i is 0: one
-    Euler-criterion pow per unordered pair, the transposed entry by quadratic
-    reciprocity, [p_i/p_j] = [p_j/p_i] + eps(p_i) eps(p_j)."""
+    Euler-criterion pow per unordered pair, modulo the earlier prime (the
+    smaller, for ascending primes), the transposed entry by quadratic
+    reciprocity, [p_j/p_i] = [p_i/p_j] + eps(p_i) eps(p_j)."""
     rows = [0] * len(primes)
     for i, p in enumerate(primes):
-        for j, q in enumerate(primes[:i]):
-            s = pow(q, (p - 1) >> 1, p) != 1  # [q/p]
-            rows[i] |= s << j
-            rows[j] |= (s ^ (p & q & 2) >> 1) << i
+        row = 0
+        for j in range(i):
+            q = primes[j]
+            s = pow(p, q >> 1, q) != 1  # [p/q]
+            rows[j] |= s << i
+            row |= (s ^ (p & q & 2) >> 1) << j
+        rows[i] = row
     return rows
 
 
@@ -349,13 +363,15 @@ def _sqrt_mod_2k(a: int, k: int) -> int:
 
 
 def eps(u: int) -> int:
-    """epsilon(u) = (u - 1)/2 mod 2 for odd u: the [-1/p] of an odd prime p."""
-    return (u - 1) // 2 % 2
+    """epsilon(u) = (u - 1)/2 mod 2 for odd u, the [-1/p] of an odd prime p:
+    bit 1 of u, for either sign of u."""
+    return u >> 1 & 1
 
 
 def omega(u: int) -> int:
-    """omega(u) = (u^2 - 1)/8 mod 2 for odd u: the [2/p] of an odd prime p."""
-    return (u * u - 1) // 8 % 2
+    """omega(u) = (u^2 - 1)/8 mod 2 for odd u, the [2/p] of an odd prime p:
+    1 iff u = 3 or 5 mod 8, that is bit 2 of u + 2, for either sign of u."""
+    return (u + 2) >> 2 & 1
 
 
 def split_valuation(a: int, p: int) -> tuple[int, int]:

@@ -16,13 +16,11 @@ from dataclasses import dataclass
 from . import gf2, monsky
 from .arith import (
     SquarefreeInteger,
-    eps,
     factor_squarefree,
     factorize,
     is_squarefree,
     legendre_additive,
     legendre_table,
-    omega,
 )
 from .gf2 import BitMatrix, BitVector
 
@@ -73,21 +71,29 @@ def _redei_rows(d: int, odd: tuple[int, ...], table: list[int]) -> list[int]:
     Odd rows: the table, omega(p_i) in the column of 2, and on the diagonal
     eps(p_i) [d > 0] + a omega(p_i) + sum_{k != i} [p_k/p_i] (product
     formula).  The row of 2, when 2 ramifies: [p_j, d]_2 = eps(p_j) eps(w)
-    + a omega(p_j), and [2, d]_2 = omega(w).
+    + a omega(p_j), and [2, d]_2 = omega(w).  eps and omega are read as the
+    bit operations of arith.eps and arith.omega, written out here.
     """
-    two = d % 4 != 1
-    a = 1 - d % 2
-    w = d >> a
-    top = omega(w)
+    pos = d > 0
     rows = []
+    if d % 4 == 1:
+        for i, p in enumerate(odd):
+            t = table[i]
+            rows.append(t | ((p >> 1 & pos) ^ (t.bit_count() & 1)) << i)
+        return rows
+    a = 1 - (d & 1)
+    w = d >> a
+    ew = w >> 1 & 1
+    top = (w + 2) >> 2 & 1
+    rows.append(0)
     for i, p in enumerate(odd):
-        e, o = eps(p), omega(p)
-        row = table[i] | ((e & (d > 0)) ^ (a & o) ^ (table[i].bit_count() & 1)) << i
-        if two:
-            row = row << 1 | o
-            top |= ((e & eps(w)) ^ (a & o)) << (i + 1)
-        rows.append(row)
-    return [top] + rows if two else rows
+        t = table[i]
+        e = p >> 1 & 1
+        o = (p + 2) >> 2 & 1
+        rows.append((t | ((e & pos) ^ (o & a) ^ (t.bit_count() & 1)) << i) << 1 | o)
+        top |= ((e & ew) ^ (o & a)) << (i + 1)
+    rows[0] = top
+    return rows
 
 
 def redei_matrix(d: SquarefreeInteger | int) -> BitMatrix:

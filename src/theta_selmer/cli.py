@@ -144,7 +144,7 @@ def cmd_density(args) -> int:
             frac = "n/a" if r.fraction is None else f"{100 * r.fraction:.2f}%"
             tgt = f"{100 * r.target:.2f}%"
             print(f"{r.population}: {frac} (target {tgt} +- 1.5) "
-                  f"[{'pass' if r.passed else 'FAIL'}]")
+                  f"[{'empty' if r.empty else 'pass' if r.passed else 'FAIL'}]")
     return EX_OK
 
 

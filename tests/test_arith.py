@@ -21,6 +21,7 @@ from theta_selmer.arith import (
     split_valuation,
     sqrt_mod,
     sqrt_mod_prime_power,
+    squarefree_walk,
 )
 
 PRIMES_1K = sieve_primes(1000)
@@ -53,6 +54,27 @@ def test_factor_range_matches_factor_squarefree():
     assert list(factor_range(3000)) == want
     assert list(factor_range(0)) == []
     assert [-sf for sf in want[:200]] == [factor_squarefree(-sf.value) for sf in want[:200]]
+
+
+def test_squarefree_walk_matches_factor_squarefree():
+    # the walk yields m with its odd primes, 3 included, ascending; factor_range
+    # is the walk with 3 split off, and even m stop at even_limit
+    for limit in (0, 1, 2, 3000):
+        want = [factor_squarefree(m) for m in range(1, limit + 1) if is_squarefree(m)]
+        walk = list(squarefree_walk(limit))
+        assert walk == [(sf.value, (3,) * sf.has_three + sf.odd_primes) for sf in want]
+        assert list(factor_range(limit)) == want
+    walk = list(squarefree_walk(3000))
+    for even_limit in (-1, 0, 1, 2, 5, 6, 749, 750, 751, 2999, 3000, 4000):
+        assert list(squarefree_walk(3000, even_limit)) == [
+            (m, odd) for m, odd in walk if m % 2 or m <= even_limit
+        ], even_limit
+
+
+def test_eps_omega_bit_forms():
+    for u in range(-9999, 10000, 2):
+        assert arith.eps(u) == (u - 1) // 2 % 2, u
+        assert arith.omega(u) == (u * u - 1) // 8 % 2, u
 
 
 def test_factor_squarefree_invariants_random():

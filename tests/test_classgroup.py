@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from theta_selmer import classgroup, gf2, survey
+from theta_selmer import arith, classgroup, gf2, survey
 from theta_selmer.arith import factor_squarefree, hilbert_additive, is_prime, is_squarefree
 from theta_selmer.classgroup import (
     PositiveDiscriminant,
@@ -69,17 +69,50 @@ def unpacked_rank(a: list[list[int]]) -> int:
 
 def test_density_histograms_match_hilbert_definition():
     # both signs, D > 0 included: r4 = t_ram - 1 - rank R(d), with R(d) from
-    # Hilbert symbols and the discriminants enumerated directly
-    want: dict[int, dict[str, int]] = {-1: {}, 1: {}}
-    for D in range(-3000, 3001):
+    # Hilbert symbols and the discriminants enumerated directly.  The bounds
+    # cover the even-m cut at a quarter of the bound (m = 2 mod 4 gives
+    # |D| = 4m) and m = 1, where D = -4 counts and D = 1 is no field.
+    r4_of = {}
+    for D in range(-3003, 3004):
         if abs(D) >= 3 and is_fundamental(D):
             a = hilbert_redei(D if D % 4 == 1 else D // 4)
-            k = str(len(a) - 1 - unpacked_rank(a))
-            hist = want[1 if D > 0 else -1]
-            hist[k] = hist.get(k, 0) + 1
-    reports = survey.scan_r4_density(3000)
-    assert [r.counts for r in reports] == [want[-1], want[-1], want[1], want[1]]
-    assert [r.size for r in reports] == [sum(want[s].values()) for s in (-1, -1, 1, 1)]
+            r4_of[D] = str(len(a) - 1 - unpacked_rank(a))
+    for bound in [*range(65), 2999, 3000, 3001, 3002, 3003]:
+        want: dict[int, dict[str, int]] = {-1: {}, 1: {}}
+        for D, k in r4_of.items():
+            if abs(D) <= bound:
+                hist = want[1 if D > 0 else -1]
+                hist[k] = hist.get(k, 0) + 1
+        reports = survey.scan_r4_density(bound)
+        assert [r.counts for r in reports] == [want[-1], want[-1], want[1], want[1]], bound
+        assert [r.size for r in reports] == [sum(want[s].values()) for s in (-1, -1, 1, 1)]
+        assert [r.empty for r in reports] == [not want[s] for s in (-1, -1, 1, 1)]
+    assert [r.size for r in survey.scan_r4_density(4)] == [2, 2, 0, 0]  # -3, -4
+    assert [r.size for r in survey.scan_r4_density(5)] == [2, 2, 1, 1]  # and 5
+
+
+def test_density_scan_builds_no_objects_and_calls_no_symbols(monkeypatch):
+    # the scan reads the sieve walk and the kernel's own bit forms of eps and
+    # omega: no SquarefreeInteger, no eps/omega call
+    calls = {"SquarefreeInteger": 0, "eps": 0, "omega": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    want = [r.counts for r in survey.scan_r4_density(3000)]
+    init = arith.SquarefreeInteger.__init__
+    monkeypatch.setattr(arith.SquarefreeInteger, "__init__", counted("SquarefreeInteger", init))
+    for name in ("eps", "omega"):
+        wrapped = counted(name, getattr(arith, name))
+        for mod in (arith, classgroup, survey):
+            monkeypatch.setattr(mod, name, wrapped, raising=False)
+    assert [r.counts for r in survey.scan_r4_density(3000)] == want
+    assert calls == {"SquarefreeInteger": 0, "eps": 0, "omega": 0}
+    arith.factor_squarefree(15)
+    assert calls["SquarefreeInteger"] == 1  # the wrapper does count
 
 
 def _prime_at_least(x: int) -> int:

@@ -82,6 +82,47 @@ def test_density_negative_histogram_matches_forms_oracle():
     assert neg0.size == sum(want.values())
 
 
+def test_density_empty_populations_pass():
+    # below |D| = 3 there is no discriminant of either sign; at 4 none above 0
+    for bound, empty in ((0, [True] * 4), (2, [True] * 4), (4, [False, False, True, True])):
+        reports = survey.scan_r4_density(bound)
+        assert [r.empty for r in reports] == empty
+        for r in reports:
+            if r.empty:
+                assert r.passed and r.fraction is None and r.size == 0 and r.counts == {}
+    code, out, _ = run_cli("density", "--max", "0")
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == 4 and all(line.endswith("[empty]") for line in lines), out
+
+
+def test_pmap_caps_workers_at_cpu_count(monkeypatch):
+    # a huge --jobs must not ask for that many processes; the recorder
+    # stands in for the pool and starts none
+    asked = []
+
+    class Recorder:
+        def __init__(self, processes):
+            asked.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return [fn(x) for x in items]
+
+    monkeypatch.setattr(survey.mp, "Pool", Recorder)
+    monkeypatch.setattr(survey.os, "cpu_count", lambda: 2)
+    assert survey._pmap(abs, list(range(-10, 10)), 10**5) == [abs(x) for x in range(-10, 10)]
+    assert asked == [2]
+    monkeypatch.setattr(survey.os, "cpu_count", lambda: None)
+    assert survey._pmap(abs, [-1, -2, -3, -4], 10**5) == [1, 2, 3, 4]
+    assert asked == [2]  # an unknown core count runs in this process
+
+
 @pytest.mark.parametrize("m", [1, 2, 5, 30, 41, 221, 365, 979])
 def test_analyze_accepts_factored_m(m):
     for theta in (THETA_PI3, THETA_2PI3):
