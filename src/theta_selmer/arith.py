@@ -113,8 +113,10 @@ _TRIAL_LIMIT = 10**6
 def factorize(n: int) -> list[tuple[int, int]]:
     """Prime factorization of n >= 1 as ordered (p, exponent) pairs.
 
-    Trial division by primes <= 10^6, then Pollard rho; inputs are capped
-    at 63 bits upstream so this always terminates quickly.
+    Trial division by primes <= L = min(10^6, a power of two > sqrt(n)),
+    then Pollard rho; inputs are capped at 63 bits upstream so this always
+    terminates quickly.  A cofactor below L^2 has no prime factor <= L left,
+    so it is prime: every n < 10^12 needs no primality test.
     """
     factors: dict[int, int] = {}
     if n <= 1:
@@ -127,11 +129,13 @@ def factorize(n: int) -> list[tuple[int, int]]:
         while n % p == 0:
             factors[p] = factors.get(p, 0) + 1
             n //= p
-    stack = [n] if n > 1 else []
+    if n < lim * lim:  # also when the walk stopped at p: then n < p^2 <= lim^2
+        if n > 1:
+            factors[n] = 1
+        return sorted(factors.items())
+    stack = [n]  # rho splits off proper divisors, so no entry is 1
     while stack:
         m = stack.pop()
-        if m == 1:
-            continue
         if is_prime(m):
             factors[m] = factors.get(m, 0) + 1
             continue

@@ -32,6 +32,7 @@ from .arith import (
     factorize,
     hilbert_additive,
     legendre_additive,
+    legendre_table,
     split_valuation,
     sqrt_mod,
 )
@@ -583,8 +584,11 @@ class _Analysis:
     def of(cls, m: SquarefreeInteger | int, theta: str) -> _Analysis:
         msf = m if isinstance(m, SquarefreeInteger) else factor_squarefree(m)
         sf = msf if curve_argument(msf.value, theta) == msf.value else -msf
-        mm = monsky.build_monsky(sf)
-        r4, pq = classgroup.r4(-msf), split_pq(msf)
+        # one table over m's odd primes, 3 first, serves R(-m); M_n reads it
+        # without the row and column of 3
+        table = legendre_table(((3,) if msf.has_three else ()) + msf.odd_primes)
+        mm = monsky.build_monsky(sf, [r >> 1 for r in table[1:]] if msf.has_three else table)
+        r4, pq = classgroup.r4(-msf, table), split_pq(msf)
         family = _FAMILY_CLASS.get((theta, msf.value % 24))
         member = msf.eta == 1 and r4 == 1 if family == FAMILY_F19 else pq is not None
         return cls(msf, theta, sf, mm, monsky.selmer_rank(mm), r4, pq,

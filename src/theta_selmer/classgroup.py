@@ -108,10 +108,14 @@ def r2(d: SquarefreeInteger | int) -> int:
     return len(field_data(d).ramified_primes) - 1
 
 
-def r4(d: SquarefreeInteger | int) -> int:
-    """4-rank of the narrow class group, r4 = t_ram - 1 - rank(R(d))."""
+def r4(d: SquarefreeInteger | int, table: list[int] | None = None) -> int:
+    """4-rank of the narrow class group, r4 = t_ram - 1 - rank(R(d)).
+
+    table is the legendre_table of d's odd ramified primes, 3 included,
+    read only; it is built here when not given.
+    """
     d, odd = _odd_ramified(d)
-    rows = _redei_rows(d, odd, legendre_table(odd))
+    rows = _redei_rows(d, odd, legendre_table(odd) if table is None else table)
     return len(rows) - 1 - gf2.rank_rows(rows)
 
 

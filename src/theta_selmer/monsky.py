@@ -257,19 +257,17 @@ def _r_bits(d: int, m1: int, q2: int, m3: int) -> int:
     return ((d < 0) ^ b) * m1 ^ (d % 2 == 0) * q2 ^ b * m3
 
 
-def _a_rows(primes) -> list[int]:
-    """A with a_ij = [p_j/p_i] off-diagonal and row sums zero."""
-    rows = legendre_table(primes)
-    for i, bits in enumerate(rows):  # a_ii = sum of the off-diagonal row entries
-        rows[i] |= (bits.bit_count() & 1) << i
-    return rows
+def _a_rows(table: list[int]) -> list[int]:
+    """A with a_ij = [p_j/p_i] off-diagonal and a_ii their sum (row sums
+    zero), as a new list: the legendre_table of the p_i is read only."""
+    return [bits | (bits.bit_count() & 1) << i for i, bits in enumerate(table)]
 
 
 def build_blocks(n: SquarefreeInteger | int) -> Blocks:
     """A and the eight r_d, d in {+-1, +-2, +-3, +-6}."""
     if isinstance(n, int):
         n = factor_squarefree(n)
-    a = BitMatrix(n.t, n.t, tuple(_a_rows(n.odd_primes)))
+    a = BitMatrix(n.t, n.t, tuple(_a_rows(legendre_table(n.odd_primes))))
     syms = _symbol_rows(n.odd_primes)
     r = {d: BitVector(n.t, _r_bits(d, *syms)) for d in (1, -1, 2, -2, 3, -3, 6, -6)}
     return Blocks(n, a, r)
@@ -291,8 +289,12 @@ class MonskyMatrix:
         return self.n.t
 
 
-def build_monsky(n: SquarefreeInteger | int) -> MonskyMatrix:
-    """The full Monsky matrix of E_n, rows normalised to the printed order."""
+def build_monsky(n: SquarefreeInteger | int, table: list[int] | None = None) -> MonskyMatrix:
+    """The full Monsky matrix of E_n, rows normalised to the printed order.
+
+    table is the legendre_table of n's odd primes >= 5, read only; it is
+    built here when not given.
+    """
     if isinstance(n, int):
         n = factor_squarefree(n)
     template = select_template(n)
@@ -310,7 +312,8 @@ def build_monsky(n: SquarefreeInteger | int) -> MonskyMatrix:
         r3 = m1 ^ m3
         r_eta, r_neg = _r_bits(n.eta, m1, q2, m3), _r_bits(-n.eta, m1, q2, m3)
         y_rows = []
-        for i, a in enumerate(_a_rows(n.odd_primes)):
+        a_rows = _a_rows(legendre_table(n.odd_primes) if table is None else table)
+        for i, a in enumerate(a_rows):
             head = (m1 >> i & 1) | (q2 >> i & 1) << 1 | (r3 >> i & 1) << 2  # r-1 r2 r3
             e = 1 << i
             rows.append(head << 3 | (m3 & e) << 6 | (a ^ (r_eta & e)) << (6 + t))

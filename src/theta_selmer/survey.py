@@ -44,11 +44,10 @@ class SurveyRow:
     oracle_checked: bool
 
     def csv_line(self) -> str:
-        vals = []
-        for f in CSV_FIELDS:
-            v = getattr(self, f)
-            vals.append(str(int(v)) if isinstance(v, bool) else str(v))
-        return ",".join(vals)
+        """The row in CSV_FIELDS order, bools as 0/1."""
+        return (f"{self.n},{self.theta},{self.eta},{self.ntilde},{self.t},{self.residue24},"
+                f"{self.template},{self.s2},{self.parity_predicted},{self.parity_ok:d},"
+                f"{self.r4},{self.certificate_kind},{self.oracle_checked:d}")
 
 
 @dataclass

@@ -1,4 +1,6 @@
+import itertools
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings
@@ -240,3 +242,73 @@ def test_legendre_table_matches_symbols(primes):
             legendre_additive(q, p) << j for j, q in enumerate(primes) if j != i
         )
         assert rows[i] == want
+
+
+def _trial_division(n):
+    out, p = [], 2
+    while p * p <= n:
+        e = 0
+        while n % p == 0:
+            n //= p
+            e += 1
+        if e:
+            out.append((p, e))
+        p += 1
+    return out + [(n, 1)] if n > 1 else out
+
+
+def _neighbour_primes(x):
+    """The largest prime below x and the smallest above it."""
+    below, above = x - 1, x + 1
+    while not is_prime(below):
+        below -= 1
+    while not is_prime(above):
+        above += 1
+    return below, above
+
+
+def test_factorize_matches_trial_division_to_20000():
+    for n in range(1, 20001):
+        assert arith.factorize(n) == _trial_division(n), n
+
+
+def test_factorize_products_across_sieve_bounds():
+    # factorize trial-divides to a power of two above sqrt(n), capped at 10^6:
+    # take primes on both sides of every such bound
+    primes = sorted({p for k in range(2, 21) for p in _neighbour_primes(1 << k)}
+                    | set(_neighbour_primes(10**6)))
+    products = [(p, p) for p in primes] + list(itertools.combinations(primes, 2))
+    products += [primes[i : i + 3] for i in range(len(primes) - 2)]
+    for ps in products:
+        n = math.prod(ps)
+        assert arith.factorize(n) == sorted(Counter(ps).items()), ps
+
+
+def test_factorize_tests_primality_only_past_the_cap(monkeypatch):
+    calls = Counter()
+    for name in ("is_prime", "_pollard_rho"):
+        def counted(n, _fn=getattr(arith, name), _name=name):
+            calls[_name] += 1
+            return _fn(n)
+
+        monkeypatch.setattr(arith, name, counted)
+    # below 10^12 trial division leaves a cofactor below L^2, so it is prime
+    for n in range(1, 10**6):
+        arith.factorize(n)
+    assert calls == {}
+    # at the cap: 999983 is trial-divided out and leaves a prime below 10^12
+    assert arith.factorize(999983**2) == [(999983, 2)]
+    assert arith.factorize(999983 * 1000003) == [(999983, 1), (1000003, 1)]
+    assert calls == {}
+    # past it the cofactor is at least 10^12: Miller-Rabin, and rho on composites
+    big = 10**12 + 39
+    assert arith.factorize(big) == [(big, 1)]
+    assert calls == {"is_prime": 1}
+    for n, want, rho in ((1000003**2, [(1000003, 2)], 1),
+                         (1000003 * 1000033, [(1000003, 1), (1000033, 1)], 1),
+                         (999983 * 1000003 * 1000033,
+                          [(999983, 1), (1000003, 1), (1000033, 1)], 1),
+                         (999983 * big, [(999983, 1), (big, 1)], 0)):
+        calls.clear()
+        assert arith.factorize(n) == want
+        assert calls["is_prime"] >= 1 and calls["_pollard_rho"] == rho, n

@@ -9,13 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from theta_selmer import cassels, classgroup, descent, monsky, survey
+from theta_selmer import arith, cassels, classgroup, descent, monsky, survey
 from theta_selmer.arith import (
     OO,
     factor_range,
     factor_squarefree,
     is_prime,
     legendre_additive,
+    legendre_table,
 )
 from theta_selmer.cassels import (
     BOUND_SCHEDULE,
@@ -411,6 +412,35 @@ def test_each_analysis_built_once(monkeypatch, m, theta, kind):
         assert run() == kind
         assert calls["build_monsky"] == calls["r4"] == 1, calls
         assert calls.get("build_blocks", 0) <= 1, calls
+
+
+def test_shared_legendre_table_gives_the_same_monsky_and_r4():
+    # the record's one table: m's odd primes, 3 first; M_n reads it without 3
+    for sf in factor_range(3000):
+        table = legendre_table(((3,) if sf.has_three else ()) + sf.odd_primes)
+        m_table = [r >> 1 for r in table[1:]] if sf.has_three else table
+        before = (list(table), list(m_table))
+        for n in (sf, -sf):
+            assert monsky.build_monsky(n, m_table) == monsky.build_monsky(n), n.value
+            if n.value != 1:
+                assert classgroup.r4(n, table) == classgroup.r4(n), n.value
+        assert (table, m_table) == before, sf.value
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 6, 15, 105, 1155, 90043])
+def test_each_analysis_builds_one_legendre_table(monkeypatch, m):
+    tables = []
+
+    def counted(primes, _fn=arith.legendre_table):
+        tables.append(tuple(primes))
+        return _fn(primes)
+
+    for mod in (arith, cassels, classgroup, monsky):
+        monkeypatch.setattr(mod, "legendre_table", counted)
+    for theta in ("pi3", "2pi3"):
+        tables.clear()
+        cassels._Analysis.of(m, theta)
+        assert len(tables) == 1, (theta, tables)
 
 
 @pytest.mark.parametrize("m,theta,kind", ONE_PER_BRANCH)

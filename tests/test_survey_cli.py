@@ -36,6 +36,14 @@ def test_csv_column_order():
     assert header.startswith("n,theta,eta,ntilde,t,residue24,template,s2")
 
 
+def test_csv_line_follows_csv_fields():
+    # csv_line spells the fields out; this reads them through CSV_FIELDS
+    for row in survey.survey_range(300, with_certificates=True):
+        want = ",".join(str(int(v)) if isinstance(v, bool) else str(v)
+                        for v in (getattr(row, f) for f in survey.CSV_FIELDS))
+        assert row.csv_line() == want
+
+
 def test_scan_parity_small():
     report, failures, rows = survey.scan_parity(120)
     assert report.passed and not failures
