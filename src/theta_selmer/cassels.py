@@ -493,9 +493,10 @@ def is_square_int(m: int) -> bool:
 def _finite_contribution(curve, lines, bprimes, p: int, rng):
     margin = 3 if p == 2 else 1
     prec = 24 + 2 * margin
+    wit = descent._finite_witness(curve, p)  # one chart search; retries redraw in its ball
     for attempt in range(24):
         r = rng if rng is not None else (random.Random(13 * p + attempt) if attempt else None)
-        pt, valid = descent.find_local_point(curve, p, prec, r)
+        pt, valid = descent.find_local_point(curve, p, prec, r, wit)
         pk = p**valid
         vals = []
         ok = True
@@ -569,11 +570,13 @@ class _Analysis:
     about E_{m,theta}, each part built once: m factored, the signed curve
     argument n, M_n, s2, r4(-m), the split m = p q of split_pq and the
     certified family (m, theta) belongs to, if any.  Family membership is
-    decided here and nowhere else."""
+    decided here and nowhere else.  table is the legendre_table of n's odd
+    primes >= 5 that M_n was built from, which pairing_f19 reads again."""
 
     m: SquarefreeInteger
     theta: str
     n: SquarefreeInteger
+    table: tuple[int, ...]
     mm: monsky.MonskyMatrix
     s2: int
     r4: int
@@ -587,11 +590,12 @@ class _Analysis:
         # one table over m's odd primes, 3 first, serves R(-m); M_n reads it
         # without the row and column of 3
         table = legendre_table(((3,) if msf.has_three else ()) + msf.odd_primes)
-        mm = monsky.build_monsky(sf, [r >> 1 for r in table[1:]] if msf.has_three else table)
+        m_table = tuple([r >> 1 for r in table[1:]] if msf.has_three else table)
+        mm = monsky.build_monsky(sf, m_table)
         r4, pq = classgroup.r4(-msf, table), split_pq(msf)
         family = _FAMILY_CLASS.get((theta, msf.value % 24))
         member = msf.eta == 1 and r4 == 1 if family == FAMILY_F19 else pq is not None
-        return cls(msf, theta, sf, mm, monsky.selmer_rank(mm), r4, pq,
+        return cls(msf, theta, sf, m_table, mm, monsky.selmer_rank(mm), r4, pq,
                    family if member else None)
 
 
@@ -628,7 +632,7 @@ def pairing_f19(n: SquarefreeInteger | int | _Analysis, rng: random.Random | Non
     if rec.s2 != 4:
         raise InternalDisagreement(f"s2 = {rec.s2} but the family forces s2 = 4")
     t = sf.t
-    blocks = monsky.build_blocks(sf)
+    blocks = monsky.build_blocks(sf, rec.table)
     d_star, x1 = classgroup.splitting_divisor(blocks)
 
     # Lambda0 = (d, 1) must be a Selmer class

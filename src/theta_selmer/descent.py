@@ -25,12 +25,14 @@ Q_v^*/Q_v^*2: replacing b1 by b1 s^2 maps a point to one with u1, u3
 scaled by s (and b2 by b2 s^2 scales u2, u3), and replacing n by n s^2
 scales e1 and e2 by s^2, which t -> s t undoes; each is a
 Q_v-isomorphism of C_Lambda.  So the enumeration decides each place once
-per local class of (b1, b2) (at most 4 at oo, 64 at 2 and 16 at an odd p)
-and reuses the verdict for every candidate in that class.  At oo, 2 and 3,
-the places every n has, the verdicts are shared by all calls in one table
-keyed by the class of n as well: at most 2*4 + 8*64 + 4*16 = 584 of them.
-At p | n they are decided afresh in each call, so that nothing grows with
-the primes a process meets.
+per local class of (n, b1, b2), and every call shares the verdicts in one
+table keyed by the place and the class of n.  At oo, 2 and 3, the places
+every n has, that is at most 2*4 + 8*64 + 4*16 = 584 verdicts.  At an odd
+p >= 5, which divides n once, n has 2 classes and (b1, b2) has 16, so each
+prime adds at most 32.  The prime tables grow with the primes a process
+meets, so at most _MAX_PRIME_TABLES = 4096 of them are held (65,536
+verdicts); reaching the cap drops the prime tables and keeps those of oo,
+2 and 3.
 """
 
 from __future__ import annotations
@@ -386,9 +388,27 @@ def _local_class(b: int, place) -> int:
 # _XOR[c] translates every class key k to k ^ c
 _XOR = [bytes(k ^ c for k in range(256)) for c in range(64)]
 
-# Verdicts at oo, 2 and 3 for every n: (place, class of n) -> {class key of
-# (b1, b2): verdict}; at most 584 verdicts in all
+# Verdicts for every n: (place, class of n) -> {class key of (b1, b2):
+# verdict}.  At oo, 2 and 3 at most 584 verdicts; at an odd p at most 32
+# each, in at most _MAX_PRIME_TABLES tables (65,536 verdicts)
 _SHARED: dict[tuple, dict[int, bool]] = {}
+_SMALL_PLACES = (OO, 2, 3)
+_MAX_PRIME_TABLES = 4096
+
+
+def _verdicts(place, n_class: int) -> dict[int, bool]:
+    """The shared verdict table of (place, class of n), made when new; a new
+    prime table past the cap first drops every prime table held."""
+    key = (place, n_class)
+    table = _SHARED.get(key)
+    if table is None:
+        if place not in _SMALL_PLACES and len(_SHARED) >= _MAX_PRIME_TABLES:
+            held = [k for k in _SHARED if k[0] not in _SMALL_PLACES]
+            if len(held) >= _MAX_PRIME_TABLES:
+                for k in held:
+                    del _SHARED[k]
+        table = _SHARED[key] = {}
+    return table
 
 
 def _class_table(n: SquarefreeInteger, place) -> bytes:
@@ -410,10 +430,10 @@ def selmer_group_oracle(n: SquarefreeInteger | int, check_closure: bool = True):
 
     Returns (members, vectors): the everywhere-locally-solvable classes
     and their encodings.  Enumeration is 2^(2t+6) candidates, so t <= 4.
-    Each place is decided once per local class of (b1, b2), on a candidate
-    that reaches it: at p | n once per call, and at oo, 2 and 3 once per
-    process for each class of n, from the shared table.  A verdict that
-    raises Undecided is not stored.
+    Each place is decided once per local class of (n, b1, b2), on a
+    candidate that reaches it, and the verdict is shared by later calls
+    through the table of _verdicts.  A verdict that raises Undecided is
+    not stored.
     """
     if isinstance(n, int):
         n = factor_squarefree(n)
@@ -421,9 +441,7 @@ def selmer_group_oracle(n: SquarefreeInteger | int, check_closure: bool = True):
     if t > 4:
         raise TooLarge(f"oracle enumeration needs t <= 4, got t={t}")
     dim = 2 * t + 6
-    local = [(place, _class_table(n, place),
-              _SHARED.setdefault((place, _local_class(n.value, place)), {})
-              if place in (OO, 2, 3) else {})
+    local = [(place, _class_table(n, place), _verdicts(place, _local_class(n.value, place)))
              for place in place_set(n)]
     members: list[TwoCoverClass] = []
     vectors: list[BitVector] = []
@@ -480,7 +498,8 @@ def padic_sqrt(a: int, p: int, prec: int) -> int:
 
 
 def find_local_point(
-    curve: QuadricIntersection, p: int, prec: int, rng: random.Random | None = None
+    curve: QuadricIntersection, p: int, prec: int, rng: random.Random | None = None,
+    witness=None,
 ):
     """A point of C_Lambda(Q_p) scaled by b1 b2 to integer coordinates.
 
@@ -493,8 +512,12 @@ def find_local_point(
     random point of the ball; the square roots are lifted with padic_sqrt.
     At a root of a form, the root is recomputed to precision and that
     form's u is 0.  With rng, the signs of the square roots are random too.
+
+    witness is _finite_witness(curve, p), searched here when not given; it
+    depends on neither prec nor rng, so a caller that retries passes the
+    first one back.
     """
-    wit = _finite_witness(curve, p)
+    wit = _finite_witness(curve, p) if witness is None else witness
     if wit is None:
         raise ValueError(f"no {p}-adic point on {curve.lam}")
     swapped, (tau, k, root_of) = wit

@@ -19,6 +19,7 @@ from them and from closed-form symbol vectors.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from . import gf2
@@ -257,17 +258,21 @@ def _r_bits(d: int, m1: int, q2: int, m3: int) -> int:
     return ((d < 0) ^ b) * m1 ^ (d % 2 == 0) * q2 ^ b * m3
 
 
-def _a_rows(table: list[int]) -> list[int]:
+def _a_rows(table: Sequence[int]) -> list[int]:
     """A with a_ij = [p_j/p_i] off-diagonal and a_ii their sum (row sums
     zero), as a new list: the legendre_table of the p_i is read only."""
     return [bits | (bits.bit_count() & 1) << i for i, bits in enumerate(table)]
 
 
-def build_blocks(n: SquarefreeInteger | int) -> Blocks:
-    """A and the eight r_d, d in {+-1, +-2, +-3, +-6}."""
+def build_blocks(n: SquarefreeInteger | int, table: Sequence[int] | None = None) -> Blocks:
+    """A and the eight r_d, d in {+-1, +-2, +-3, +-6}.
+
+    table is as in build_monsky, built here when not given.
+    """
     if isinstance(n, int):
         n = factor_squarefree(n)
-    a = BitMatrix(n.t, n.t, tuple(_a_rows(legendre_table(n.odd_primes))))
+    a_rows = _a_rows(legendre_table(n.odd_primes) if table is None else table)
+    a = BitMatrix(n.t, n.t, tuple(a_rows))
     syms = _symbol_rows(n.odd_primes)
     r = {d: BitVector(n.t, _r_bits(d, *syms)) for d in (1, -1, 2, -2, 3, -3, 6, -6)}
     return Blocks(n, a, r)
@@ -289,7 +294,7 @@ class MonskyMatrix:
         return self.n.t
 
 
-def build_monsky(n: SquarefreeInteger | int, table: list[int] | None = None) -> MonskyMatrix:
+def build_monsky(n: SquarefreeInteger | int, table: Sequence[int] | None = None) -> MonskyMatrix:
     """The full Monsky matrix of E_n, rows normalised to the printed order.
 
     table is the legendre_table of n's odd primes >= 5, read only; it is

@@ -405,13 +405,24 @@ def test_each_analysis_built_once(monkeypatch, m, theta, kind):
             return _fn(*args, **kwargs)
 
         monkeypatch.setattr(mod, name, counted)
+    tables = []
+
+    def counted_table(primes, _fn=arith.legendre_table):
+        tables.append(tuple(primes))
+        return _fn(primes)
+
+    for mod in (arith, cassels, classgroup, monsky):
+        monkeypatch.setattr(mod, "legendre_table", counted_table)
     for run in (lambda: certify(m, theta).kind,
                 lambda: certify(factor_squarefree(m), theta).kind,
                 lambda: survey.analyze(m, theta, with_certificate=True).certificate_kind):
         calls.clear()
+        tables.clear()
         assert run() == kind
         assert calls["build_monsky"] == calls["r4"] == 1, calls
         assert calls.get("build_blocks", 0) <= 1, calls
+        if m % 24 == 19:  # F19: pairing_f19 reads the record's table
+            assert len(tables) == 1, tables
 
 
 def test_shared_legendre_table_gives_the_same_monsky_and_r4():

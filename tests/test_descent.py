@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import random
@@ -137,14 +138,18 @@ def test_local_solvability_constant_on_local_classes(monkeypatch):
     shared_primes = {p for p in (5, 7, 11, 13)
                      if sum(p in sf.odd_primes for sf in signed) > 2}
     assert shared_primes == {5, 7, 11, 13}
-    # the oracle's shared table, filled afresh, holds these verdicts
+    # the oracle's shared table, filled afresh, holds these verdicts at
+    # every place
     monkeypatch.setattr(descent, "_SHARED", {})
     for sf in signed:
         selmer_group_oracle(sf)
     for (place, ncls), table in descent._SHARED.items():
-        assert place in (OO, 2, 3)
         for key, ok in table.items():
             assert verdicts[place, ncls, key] == ok, (place, ncls, key)
+
+
+def _small_verdicts():
+    return sum(len(table) for (p, _), table in descent._SHARED.items() if p in (OO, 2, 3))
 
 
 def test_shared_verdicts_decided_once(monkeypatch):
@@ -160,13 +165,54 @@ def test_shared_verdicts_decided_once(monkeypatch):
     signed = _signed(120)
     for sf in signed:
         selmer_group_oracle(sf)
-    shared = sum(p in (OO, 2, 3) for p in calls)
-    held = sum(map(len, descent._SHARED.values()))
-    assert shared == held <= 2 * 4 + 8 * 64 + 4 * 16
+    for place in {OO, 2, 3, *(p for sf in signed for p in sf.odd_primes)}:
+        held = sum(len(table) for (p, _), table in descent._SHARED.items() if p == place)
+        assert calls.count(place) == held, place
+        if place not in (OO, 2, 3):
+            assert held <= 2 * 16, place
+    assert _small_verdicts() <= 2 * 4 + 8 * 64 + 4 * 16
     calls.clear()
     for sf in reversed(signed):
         selmer_group_oracle(sf)
-    assert calls and all(p not in (OO, 2, 3) for p in calls)
+    assert calls == []
+
+
+def test_prime_tables_capped(monkeypatch):
+    monkeypatch.setattr(descent, "_SHARED", {})
+    monkeypatch.setattr(descent, "_MAX_PRIME_TABLES", 2)
+    small, held, drops = 0, set(), 0
+    for sf in _signed(120):
+        members, vectors = selmer_group_oracle(sf)
+        now = {key for key in descent._SHARED if key[0] not in (OO, 2, 3)}
+        assert len(now) <= 2, (sf.value, now)
+        drops += not held <= now
+        held = now
+        # a drop keeps the oo, 2 and 3 verdicts
+        assert _small_verdicts() >= small, sf.value
+        small = _small_verdicts()
+        dim = 2 * sf.t + 6
+        direct = [
+            bits for bits in range(1 << dim)
+            if everywhere_locally_solvable(
+                curve_for(sf, monsky.decode_vector(BitVector(dim, bits), sf))
+            )
+        ]
+        assert [v.bits for v in vectors] == direct, sf.value
+        assert members == [monsky.decode_vector(v, sf) for v in vectors], sf.value
+    assert drops > 10
+
+
+# SHA-256 over n, then -n, for n in factor_range(300), of
+# repr((n, [v.bits for v in selmer_group_oracle(n)[1]])) from an empty table
+ORACLE_MEMBERS = "da917378761c0d898b63fac5e2f9fe0934302d259c1d6805c46f6be4e385861a"
+
+
+def test_oracle_member_sets_frozen(monkeypatch):
+    monkeypatch.setattr(descent, "_SHARED", {})
+    h = hashlib.sha256()
+    for sf in _signed(300):
+        h.update(repr((sf.value, [v.bits for v in selmer_group_oracle(sf)[1]])).encode())
+    assert h.hexdigest() == ORACLE_MEMBERS
 
 
 _ORDER_SCRIPT = """
