@@ -214,8 +214,10 @@ def squarefree_walk(limit: int, even_limit: int | None = None):
     only up to even_limit (default limit).
 
     One smallest-prime-factor sieve serves the whole range, so a scan
-    factors each m exactly once.
+    factors each m exactly once.  A limit below 1 yields nothing.
     """
+    if limit < 1:
+        return
     # 8 bytes an entry, where a list would hold a pointer and an int object
     spf = array("l", range(limit + 1))
     squarefree = bytearray([1]) * (limit + 1)

@@ -73,10 +73,6 @@ class Insoluble(NotFound):
         self.bound = 0
 
 
-class BetaAmbiguous(Exception):
-    pass
-
-
 class HypothesisFailed(Exception):
     pass
 
@@ -109,22 +105,13 @@ class TernarySolution:
                 "flags": dict(self.flags)}
 
 
-def transform_minus(p: int, q: int, a: int, b: int, c: int):
-    """The conic automorph for p a^2 - q b^2 = c^2, content cleared."""
-    aa = -(p + q) * a + 2 * q * b
-    bb = (p + q) * b - 2 * p * a
-    cc = (p - q) * c
-    g = math.gcd(math.gcd(abs(aa), abs(bb)), abs(cc))
-    return aa // g, bb // g, cc // g
-
-
-def transform_plus(p: int, q: int, a: int, b: int, c: int):
-    """The conic automorph for p a^2 + q b^2 = c^2, content cleared."""
-    aa = (p - q) * a + 2 * q * b
-    bb = (p - q) * b - 2 * p * a
-    cc = (p + q) * c
-    g = math.gcd(math.gcd(abs(aa), abs(bb)), abs(cc))
-    return aa // g, bb // g, cc // g
+def transform(p: int, g: int, a: int, b: int, c: int):
+    """The conic automorph for p a^2 + g b^2 = c^2, content cleared."""
+    aa = (p - g) * a + 2 * g * b
+    bb = (p - g) * b - 2 * p * a
+    cc = (p + g) * c
+    k = math.gcd(aa, bb, cc)
+    return aa // k, bb // k, cc // k
 
 
 def solve_ternary(form_id: str, params: tuple, rng: random.Random | None = None,
@@ -137,17 +124,10 @@ def solve_ternary(form_id: str, params: tuple, rng: random.Random | None = None,
     the pairing does not depend on the choice.
     """
     if form_id == "4c2=da2+(n/d)b2":
-        d, n = params
-        sols = _search_f19(d, n, skip, rng)
-    elif form_id == "px2-qy2=z2":
-        p, q = params
-        sols = _search_pq(p, q, -1, skip, rng)
-    elif form_id == "px2+qy2=z2":
-        p, q = params
-        sols = _search_pq(p, q, +1, skip, rng)
-    else:
-        raise ValueError(f"unknown form {form_id!r}")
-    return sols
+        return _search_f19(*params, skip, rng)
+    if form_id in ("px2-qy2=z2", "px2+qy2=z2"):
+        return _search_pq(*params, -1 if form_id == "px2-qy2=z2" else 1, skip, rng)
+    raise ValueError(f"unknown form {form_id!r}")
 
 
 _F19_FLAGS = (
@@ -274,14 +254,13 @@ def _pq_flags(p, q, form_sign, a, b, c):
 
 def _normalise_pq(p, q, form_sign, a, b, c):
     """Push a raw solution into the family's congruence normal form."""
-    transform = transform_minus if form_sign < 0 else transform_plus
     for _ in range(6):
         if a % 2 and b % 2 and c % 2 == 0:
             if form_sign < 0 and a % 3 == 0:
                 break
             if form_sign > 0 and a % 3 and b % 3:
                 break
-        a, b, c = transform(p, q, abs(a), abs(b), abs(c))
+        a, b, c = transform(p, form_sign * q, abs(a), abs(b), abs(c))
         a, b, c = abs(a), abs(b), abs(c)
         if not (p * a * a + form_sign * q * b * b == c * c):
             raise InternalDisagreement("automorph failed to preserve the form")
@@ -310,28 +289,27 @@ def _normalise_pq(p, q, form_sign, a, b, c):
 # a line is a length-4 integer tuple of coefficients on (t, u1, u2, u3)
 
 
+def tangent_from_point(quad, variables, point):
+    """Tangent line of the conic at the point, as 4 coefficients on
+    (t, u1, u2, u3); gcd-reduced."""
+    grads = [2 * c * w for c, w in zip(quad, point)]
+    g = math.gcd(*grads)
+    grads = [x // g for x in grads]
+    line = [0, 0, 0, 0]
+    order = ("t", "u1", "u2", "u3")
+    for var, coef in zip(variables, grads):
+        line[order.index(var)] = coef
+    return tuple(line)
+
+
 def _check_tangency(quad, variables, point, line):
-    """quad = (ct, ca, cb) on the named variable triple; assert the point is
-    on the conic and the line is its tangent there (up to scaling)."""
-    ct, ca, cb = quad
-    vals = dict(zip(variables, point))
-    assert ct * vals[variables[0]] ** 2 + ca * vals[variables[1]] ** 2 + cb * vals[variables[2]] ** 2 == 0
-    grad = {
-        variables[0]: 2 * ct * vals[variables[0]],
-        variables[1]: 2 * ca * vals[variables[1]],
-        variables[2]: 2 * cb * vals[variables[2]],
-    }
-    all_vars = ("t", "u1", "u2", "u3")
-    lv = dict(zip(all_vars, line))
-    for v in all_vars:
-        if v not in grad:
-            assert lv[v] == 0, f"tangent line touches unused variable {v}"
-    # proportionality of the restriction
-    nz = [v for v in variables if grad[v] or lv[v]]
-    ratios = {(grad[v], lv[v]) for v in nz}
-    for g1, l1 in ratios:
-        for g2, l2 in ratios:
-            assert g1 * l2 == g2 * l1, "line is not tangent at the point"
+    """Assert the point is on the conic quad, whose coefficients sit on the
+    named variable triple, and the line is its tangent there, up to scaling."""
+    assert sum(c * w * w for c, w in zip(quad, point)) == 0, "point is not on the conic"
+    tangent = tangent_from_point(quad, variables, point)
+    k = math.gcd(*line)
+    line = tuple(x // k for x in line)
+    assert line in (tangent, tuple(-x for x in tangent)), "line is not tangent at the point"
 
 
 def _tangents_f19(n: SquarefreeInteger, d: int, sol: TernarySolution):
@@ -362,53 +340,38 @@ def _tangents_pq(n: SquarefreeInteger, p: int, q: int, sol: TernarySolution):
     return curve, lines
 
 
-def conic_point(quad: tuple[int, int, int], bound: int = 1200):
-    """A primitive integer point on c0 x^2 + c1 y^2 + c2 z^2 = 0, or None."""
-    cs = quad
-    for s in range(0, bound + 1):
+CONIC_BOUND = 1200
+
+
+def conic_point(quad: tuple[int, int, int]):
+    """A primitive integer point on c0 x^2 + c1 y^2 + c2 z^2 = 0 with
+    coordinates at most CONIC_BOUND, or None."""
+    for s in range(0, CONIC_BOUND + 1):
         for i, j in ((0, 1), (1, 0), (1, 2), (2, 1), (0, 2), (2, 0)):
             k = 3 - i - j
             for x in range(0, s + 1):
                 pair = [0, 0, 0]
                 pair[i], pair[j] = s, x
-                rhs = -(cs[i] * s * s + cs[j] * x * x)
-                if rhs % cs[k] or rhs // cs[k] < 0:
+                rhs = -(quad[i] * s * s + quad[j] * x * x)
+                if rhs % quad[k] or rhs // quad[k] < 0:
                     continue
-                w = math.isqrt(rhs // cs[k])
-                if w * w != rhs // cs[k]:
+                w = math.isqrt(rhs // quad[k])
+                if w * w != rhs // quad[k]:
                     continue
                 pair[k] = w
-                if math.gcd(math.gcd(pair[0], pair[1]), pair[2]) == 1:
+                if math.gcd(*pair) == 1:
                     return tuple(pair)
     return None
-
-
-def tangent_from_point(quad, variables, point):
-    """Tangent line of the conic at the point, as 4 coefficients on
-    (t, u1, u2, u3); gcd-reduced."""
-    grads = [2 * c * w for c, w in zip(quad, point)]
-    g = math.gcd(math.gcd(abs(grads[0]), abs(grads[1])), abs(grads[2]))
-    grads = [x // g for x in grads]
-    line = [0, 0, 0, 0]
-    order = ("t", "u1", "u2", "u3")
-    for var, coef in zip(variables, grads):
-        line[order.index(var)] = coef
-    return tuple(line)
-
-
-def complete_h2_line(curve):
-    """A tangent line for H2 found by generic conic search (needed only
-    when the second argument has b2' != 1, e.g. torsion checks)."""
-    pt = conic_point(curve.h2)
-    if pt is None:
-        raise NotFound(1200)
-    return tangent_from_point(curve.h2, ("t", "u1", "u3"), pt)
 
 
 def torsion_pairing_checks(curve, lines, places, n_sf, rng=None):
     """<Lambda, Pi> for the torsion generators Pi; all must vanish."""
     if lines[1] is None:
-        lines = (lines[0], complete_h2_line(curve), lines[2])
+        # the torsion classes have b2' != 1, so H2 needs a line too
+        pt = conic_point(curve.h2)
+        if pt is None:
+            raise NotFound(CONIC_BOUND)
+        lines = (lines[0], tangent_from_point(curve.h2, ("t", "u1", "u3"), pt), lines[2])
     out = []
     for tv in torsion_classes(n_sf)[1:3]:
         tb3 = squarefree_product(tv.b1, tv.b2)
@@ -466,7 +429,7 @@ def _real_contribution(curve, lines, bprimes, rng):
         terms = []
         ok = True
         for line, bp in zip(lines, bprimes):
-            if line is None or bp == 1 or is_square_int(bp):
+            if line is None or bp == 1:
                 terms.append(0)
                 continue
             ct, cu1, cu2, cu3 = line
@@ -486,10 +449,6 @@ def _real_contribution(curve, lines, bprimes, rng):
     raise InternalDisagreement("no usable real point (all hit a tangent line)")
 
 
-def is_square_int(m: int) -> bool:
-    return m > 0 and math.isqrt(m) ** 2 == m
-
-
 def _finite_contribution(curve, lines, bprimes, p: int, rng):
     margin = 3 if p == 2 else 1
     prec = 24 + 2 * margin
@@ -501,7 +460,7 @@ def _finite_contribution(curve, lines, bprimes, p: int, rng):
         vals = []
         ok = True
         for line, bp in zip(lines, bprimes):
-            if line is None or bp == 1 or is_square_int(bp):
+            if line is None or bp == 1:
                 vals.append(None)
                 continue
             x = sum(c * w for c, w in zip(line, pt)) % pk
@@ -667,10 +626,8 @@ def pairing_f19(n: SquarefreeInteger | int | _Analysis, rng: random.Random | Non
 
     lam1 = monsky.decode_vector(v, sf)
 
-    # ternary data
+    # ternary data; c is prime to n, as a prime of n dividing c would divide a and b
     sol = solve_ternary("4c2=da2+(n/d)b2", (d_star, sf), rng=rng, skip=ternary_skip)
-    if math.gcd(sol.c, n) != 1:
-        raise HypothesisFailed(f"ternary c = {sol.c} shares a factor with n")
     r_c = BitVector.from_bits(legendre_additive(sol.c, p) for p in sf.odd_primes)
 
     r1v = blocks.r_vec(-1)
@@ -776,15 +733,9 @@ def pairing_pq(p: int, q: int, family: str, rng: random.Random | None = None,
 
     u = legendre_additive(-1, p)
     form = "px2-qy2=z2" if form_sign < 0 else "px2+qy2=z2"
-    sol = None
-    for extra in range(6):
-        cand = solve_ternary(form, (p, q), rng=rng, skip=ternary_skip + extra)
-        if cand.a % q:
-            sol = cand
-            break
-    if sol is None:
-        raise BetaAmbiguous(f"q = {q} divides a in every ternary solution tried")
-    a, b, c = sol.a, sol.b, sol.c
+    # the solution is primitive, so q | a would force q | c and then q | b
+    sol = solve_ternary(form, (p, q), rng=rng, skip=ternary_skip)
+    a, c = sol.a, sol.c
     beta = (-c * pow(a, -1, q)) % q
     if beta * beta % q != p % q:
         raise InternalDisagreement("beta^2 != p mod q")

@@ -143,8 +143,9 @@ def _oracle_one(sf: SquarefreeInteger):
 
 
 def scan_oracle(max_n: int, jobs: int = 1):
-    """Descent-oracle dimension vs Monsky rank for squarefree |n| <= max_n."""
-    items = [n for m in factor_range(max_n) for n in (m, -m)]
+    """Descent-oracle dimension vs Monsky rank for squarefree |n| <= max_n
+    with t <= 4, the range the oracle's enumeration accepts."""
+    items = [n for m in factor_range(max_n) if m.t <= 4 for n in (m, -m)]
     triples = _pmap(_oracle_one, items, jobs)
     failures = [
         {"n": n, "s2": s2, "oracle_dim": dim, "detail": diagnose_oracle_mismatch(n)}

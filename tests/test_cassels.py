@@ -36,8 +36,7 @@ from theta_selmer.cassels import (
     pairing_pq,
     solve_ternary,
     split_pq,
-    transform_minus,
-    transform_plus,
+    transform,
 )
 
 
@@ -51,12 +50,12 @@ def test_transform_preserves_forms():
         c2 = p * a * a - q * b * b
         if c2 >= 0 and math.isqrt(c2) ** 2 == c2:
             c = math.isqrt(c2)
-            aa, bb, cc = transform_minus(p, q, a, b, c)
+            aa, bb, cc = transform(p, -q, a, b, c)
             assert p * aa * aa - q * bb * bb == cc * cc
         c2 = p * a * a + q * b * b
         if math.isqrt(c2) ** 2 == c2:
             c = math.isqrt(c2)
-            aa, bb, cc = transform_plus(p, q, a, b, c)
+            aa, bb, cc = transform(p, q, a, b, c)
             assert p * aa * aa + q * bb * bb == cc * cc
 
 
@@ -506,3 +505,57 @@ def test_conic_point_generic():
     x, y, z = pt
     assert 3 * x * x + y * y - z * z == 0
     assert math.gcd(math.gcd(x, y), z) == 1
+
+
+def test_ternary_solutions_keep_pairing_coordinates_prime_to_q_and_n():
+    # in a primitive solution of p a^2 -+ q b^2 = c^2, q | a would force
+    # q | c and then q | b; in one of 4 c^2 = d a^2 + (n/d) b^2 a prime of
+    # n dividing c divides a or b and then the other one too
+    pairs, forms = _pq_pairs(), _f19_forms(30000)
+    for skip, seed in itertools.product(range(4), (None, 1, 2)):
+        rng = random.Random(seed) if seed else None
+        for p, q in pairs:
+            form = "px2-qy2=z2" if (p * q) % 24 == 5 else "px2+qy2=z2"
+            assert solve_ternary(form, (p, q), rng=rng, skip=skip).a % q, (p, q, skip, seed)
+        for d, n in forms:
+            sol = solve_ternary("4c2=da2+(n/d)b2", (d, n), rng=rng, skip=skip)
+            assert math.gcd(sol.c, n) == 1, (d, n, skip, seed)
+
+
+def _tangency_cases():
+    # (quad, variables, point, line): H3 of F5's (13, 17) cover and H1 of
+    # F19's n = 259 cover, each with the line the family pairing uses
+    sol = solve_ternary("px2-qy2=z2", (13, 17))
+    curve, lines = cassels._tangents_pq(factor_squarefree(221), 13, 17, sol)
+    yield curve.h3, ("t", "u1", "u2"), (sol.b, 13 * sol.a, sol.c), lines[2]
+    sf = factor_squarefree(259)
+    d = classgroup.splitting_divisor(sf)[0]
+    sol = solve_ternary("4c2=da2+(n/d)b2", (d, sf))
+    curve, lines = cassels._tangents_f19(sf, d, sol)
+    yield curve.h1, ("t", "u2", "u3"), (sol.b, -2 * sol.a * d, 4 * sol.c), lines[0]
+
+
+@pytest.mark.parametrize("case", list(_tangency_cases()), ids=["F5-H3", "F19-H1"])
+def test_check_tangency_rejects_wrong_lines(case):
+    quad, variables, point, line = case
+    for scale in (1, -1, 3):
+        cassels._check_tangency(quad, variables, point, tuple(scale * x for x in line))
+    i = next(i for i, x in enumerate(line) if x)
+    flipped = tuple(-x if j == i else x for j, x in enumerate(line))
+    bumped = tuple(x + (j == i) for j, x in enumerate(line))
+    unused = next(j for j, v in enumerate(("t", "u1", "u2", "u3")) if v not in variables)
+    stray = tuple(x + (j == unused) for j, x in enumerate(line))
+    off = (point[0], point[1], point[2] + 1)
+    for bad_point, bad_line in ((point, flipped), (point, bumped), (point, stray), (off, line)):
+        with pytest.raises(AssertionError):
+            cassels._check_tangency(quad, variables, bad_point, bad_line)
+
+
+def test_pq_torsion_checks_f11():
+    p, q = 7, 29
+    rec = cassels._Analysis.of(p * q, monsky.THETA_2PI3)
+    assert rec.family == FAMILY_F11 and rec.pq == (p, q)
+    sol = solve_ternary("px2+qy2=z2", (p, q))
+    curve, lines = cassels._tangents_pq(rec.n, p, q, sol)
+    checks = cassels.torsion_pairing_checks(curve, lines, [OO, 2, 3, p, q], rec.n)
+    assert [c["pairing"] for c in checks] == [0, 0]

@@ -5,8 +5,8 @@ A stdlib stand-in for a linter's unused-import rule: every name bound by an
 import statement must be read somewhere in the module, or be listed in its
 ``__all__`` (the package's re-exports).  Every import sits at module level,
 so a module's dependencies are all in its header.  The dead-helper guard
-asks the same of module-level private functions and classes, across the
-whole package.
+asks the same of module-level private functions, classes and constants,
+across the whole package.
 """
 
 import ast
@@ -80,31 +80,52 @@ def test_no_function_local_imports(path):
     assert function_imports(path.read_text()) == []
 
 
+def module_level_names(node) -> list[str]:
+    """The names a module-level statement defines: a def or class, or the
+    plain names an assignment binds."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, ast.AnnAssign):
+        targets = [node.target]
+    else:
+        return []
+    return [
+        elt.id
+        for target in targets
+        for elt in (target.elts if isinstance(target, ast.Tuple) else [target])
+        if isinstance(elt, ast.Name)
+    ]
+
+
 def dead_helpers(sources: dict[str, str]) -> list[str]:
-    """Module-level private defs and classes that no module references.
+    """Module-level private defs, classes and constants that no module
+    references.
 
     ``sources`` maps module names to their text.  A name counts as
     referenced when it is read, looked up as an attribute or imported
-    anywhere in the package, its own module included.
+    anywhere in the package, its own module included; binding it is not
+    a reference.
     """
     trees = {name: ast.parse(src) for name, src in sources.items()}
     referenced = set()
     for tree in trees.values():
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 referenced.add(node.id)
             elif isinstance(node, ast.Attribute):
                 referenced.add(node.attr)
             elif isinstance(node, ast.alias):
                 referenced.add(node.name)
     return sorted(
-        f"{name}.{node.name}"
+        f"{name}.{defined}"
         for name, tree in trees.items()
         for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-        and node.name.startswith("_")
-        and not node.name.startswith("__")
-        and node.name not in referenced
+        for defined in module_level_names(node)
+        if defined.startswith("_")
+        and not defined.startswith("__")
+        and defined not in referenced
     )
 
 
@@ -115,6 +136,15 @@ def test_detector_flags_a_dead_helper():
         "c": "def _local(): pass\ndef f(): return _local()\n",
     }
     assert dead_helpers(sources) == ["a._dead"]
+
+
+def test_detector_flags_a_dead_constant():
+    sources = {
+        "a": "_USED = 1\n_DEAD = 2\n_PAIR, _LOST = 3, 4\n_TYPED: int = 5\n__all__ = []\n",
+        "b": "from .a import _USED\nimport a\nprint(a._PAIR)\n",
+        "c": "_LOCAL = {}\ndef f(): return _LOCAL\n_STORED = 0\n_STORED += 1\n",
+    }
+    assert dead_helpers(sources) == ["a._DEAD", "a._LOST", "a._TYPED", "c._STORED"]
 
 
 def test_no_dead_private_helpers():

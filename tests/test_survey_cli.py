@@ -6,8 +6,9 @@ import sys
 
 import pytest
 
-from theta_selmer import cassels, classgroup, cli, descent, survey
-from theta_selmer.arith import factor_squarefree, is_squarefree
+from theta_selmer import cassels, classgroup, cli, descent, monsky, survey
+from theta_selmer.arith import factor_range, factor_squarefree, is_squarefree, squarefree_walk
+from theta_selmer.gf2 import BitMatrix, BitVector
 from theta_selmer.monsky import THETA_2PI3, THETA_PI3
 
 
@@ -265,3 +266,73 @@ def test_cli_survey_json_unchanged():
 def test_cli_parser_rejects_bad_theta():
     code, out, err = run_cli("analyze", "5", "--theta", "pi4")
     assert code == 64
+
+
+def test_verify_oracle_checks_t_at_most_4(monkeypatch, capsys):
+    # 85085 = 5 * 7 * 11 * 13 * 17 is the first m with t = 5, past the
+    # oracle's enumeration; 85079 and 85083 have t = 2
+    monkeypatch.setattr(survey, "factor_range", lambda limit: (
+        factor_squarefree(m) for m in (85079, 85083, 85085)))
+    monkeypatch.delenv("THETA_SELMER_JOBS", raising=False)
+    failures, triples = survey.scan_oracle(85085)
+    assert failures == [] and [n for n, _, _ in triples] == [85079, -85079, 85083, -85083]
+    assert cli.main(["verify-oracle", "--max", "85085"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["checked"] == 4 and doc["failures"] == []
+
+
+def _report_shape(report):
+    return report.size, report.counts, report.fraction, report.passed, report.empty
+
+
+@pytest.mark.parametrize("bound", [-5, -4, -3, -2, -1])
+def test_range_scans_give_bound_zero_results_below_zero(bound):
+    assert list(squarefree_walk(bound)) == list(factor_range(bound)) == []
+    assert survey.survey_range(bound) == survey.survey_range(0) == []
+    report, failures, rows = survey.scan_parity(bound)
+    zero, _, _ = survey.scan_parity(0)
+    assert failures == rows == [] and _report_shape(report) == _report_shape(zero)
+    assert survey.scan_oracle(bound) == survey.scan_oracle(0) == ([], [])
+    for family in ("f5", "f11", "cor15", "cor16"):
+        assert (_report_shape(survey.scan_certification(family, bound))
+                == _report_shape(survey.scan_certification(family, 0)))
+    assert ([_report_shape(r) for r in survey.scan_r4_density(bound)]
+            == [_report_shape(r) for r in survey.scan_r4_density(0)])
+
+
+def test_verify_oracle_reports_a_monsky_mismatch(monkeypatch, capsys):
+    # zeroing row 2 of M_7 lowers its rank: the matrix then claims s2 = 3
+    # where the oracle finds 2, and the 4 classes of the larger kernel
+    # outside Sel_2 are the disagreement
+    build = monsky.build_monsky
+
+    def broken(n, table=None):
+        mm = build(n, table)
+        if mm.n.value != 7:
+            return mm
+        rows = list(mm.matrix.rows)
+        rows[2] = 0
+        return monsky.MonskyMatrix(mm.n, mm.template,
+                                   BitMatrix(mm.matrix.nrows, mm.matrix.ncols, tuple(rows)))
+
+    monkeypatch.setattr(monsky, "build_monsky", broken)
+    monkeypatch.delenv("THETA_SELMER_JOBS", raising=False)
+    assert cli.main(["verify-oracle", "--max", "10"]) == cli.EX_VERIFY == 2
+    [failure] = json.loads(capsys.readouterr().out)["failures"]
+    assert (failure["n"], failure["s2"], failure["oracle_dim"]) == (7, 3, 2)
+    sf = factor_squarefree(7)
+    members, _ = descent.selmer_group_oracle(sf)
+    oracle = {(lam.b1, lam.b2) for lam in members}
+    matrix = broken(sf).matrix
+    kernel = set()
+    for bits in range(1 << matrix.ncols):
+        v = BitVector(matrix.ncols, bits)
+        if matrix.mul_vec(v).is_zero():
+            lam = monsky.decode_vector(v, sf)
+            kernel.add((lam.b1, lam.b2))
+    listed = [tuple(d["lambda"]) for d in failure["detail"]]
+    assert len(listed) == 4 and set(listed) == kernel ^ oracle
+    for d in failure["detail"]:
+        assert d["in_kernel"] == (tuple(d["lambda"]) not in oracle)
+        if tuple(d["lambda"]) not in oracle:
+            assert any(ok is False for _, ok in d["local_solvability"]), d
