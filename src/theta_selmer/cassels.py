@@ -77,8 +77,8 @@ class HypothesisFailed(Exception):
     pass
 
 
-class InternalDisagreement(Exception):
-    pass
+class InternalDisagreement(AssertionError):
+    """A check of the producer's own work failed, in every mode."""
 
 
 class ExcludedSmallN(Exception):
@@ -303,13 +303,15 @@ def tangent_from_point(quad, variables, point):
 
 
 def _check_tangency(quad, variables, point, line):
-    """Assert the point is on the conic quad, whose coefficients sit on the
+    """Check the point is on the conic quad, whose coefficients sit on the
     named variable triple, and the line is its tangent there, up to scaling."""
-    assert sum(c * w * w for c, w in zip(quad, point)) == 0, "point is not on the conic"
+    if sum(c * w * w for c, w in zip(quad, point)):
+        raise InternalDisagreement("point is not on the conic")
     tangent = tangent_from_point(quad, variables, point)
     k = math.gcd(*line)
     line = tuple(x // k for x in line)
-    assert line in (tangent, tuple(-x for x in tangent)), "line is not tangent at the point"
+    if line not in (tangent, tuple(-x for x in tangent)):
+        raise InternalDisagreement("line is not tangent at the point")
 
 
 def _tangents_f19(n: SquarefreeInteger, d: int, sol: TernarySolution):
@@ -340,28 +342,29 @@ def _tangents_pq(n: SquarefreeInteger, p: int, q: int, sol: TernarySolution):
     return curve, lines
 
 
-CONIC_BOUND = 1200
+def conic_point(quad: tuple[int, int, int]) -> tuple[int, int, int]:
+    """A primitive point with coordinates >= 0 on c0 x^2 + c1 y^2 + c2 z^2 = 0.
 
-
-def conic_point(quad: tuple[int, int, int]):
-    """A primitive integer point on c0 x^2 + c1 y^2 + c2 z^2 = 0 with
-    coordinates at most CONIC_BOUND, or None."""
-    for s in range(0, CONIC_BOUND + 1):
-        for i, j in ((0, 1), (1, 0), (1, 2), (2, 1), (0, 2), (2, 0)):
-            k = 3 - i - j
-            for x in range(0, s + 1):
-                pair = [0, 0, 0]
-                pair[i], pair[j] = s, x
-                rhs = -(quad[i] * s * s + quad[j] * x * x)
-                if rhs % quad[k] or rhs // quad[k] < 0:
-                    continue
-                w = math.isqrt(rhs // quad[k])
-                if w * w != rhs // quad[k]:
-                    continue
-                pair[k] = w
-                if math.gcd(*pair) == 1:
-                    return tuple(pair)
-    return None
+    With c_k of least size, -c_i c_k = f u^2 and -c_j c_k = g w^2 for f, g
+    squarefree; the first solution of f a^2 + g b^2 = c^2 in the ternary stream
+    gives x_i = a w c_k, x_j = b u c_k, x_k = c u w.  Raises Insoluble if the
+    conic has no point over some completion of Q.
+    """
+    primes = sorted({p for c in quad for p, _ in factorize(abs(c))})
+    k = min(range(3), key=lambda x: abs(quad[x]))
+    i, j = (x for x in range(3) if x != k)
+    f, g, u, w = -quad[i] * quad[k], -quad[j] * quad[k], 1, 1
+    for p in primes:
+        while f % (p * p) == 0:
+            f, u = f // (p * p), u * p
+        while g % (p * p) == 0:
+            g, w = g // (p * p), w * p
+    for sols in _shells(f, g, primes):
+        for a, b, c in sols[:1]:
+            pt = {i: a * w * quad[k], j: b * u * quad[k], k: c * u * w}
+            h = math.gcd(*pt.values())
+            return tuple(abs(pt[x]) // h for x in range(3))
+    raise NotFound(BOUND_SCHEDULE[-1])
 
 
 def torsion_pairing_checks(curve, lines, places, n_sf, rng=None):
@@ -369,8 +372,6 @@ def torsion_pairing_checks(curve, lines, places, n_sf, rng=None):
     if lines[1] is None:
         # the torsion classes have b2' != 1, so H2 needs a line too
         pt = conic_point(curve.h2)
-        if pt is None:
-            raise NotFound(CONIC_BOUND)
         lines = (lines[0], tangent_from_point(curve.h2, ("t", "u1", "u3"), pt), lines[2])
     out = []
     for tv in torsion_classes(n_sf)[1:3]:
@@ -621,8 +622,8 @@ def pairing_f19(n: SquarefreeInteger | int | _Analysis, rng: random.Random | Non
     if (blocks.r_vec(-3).dot(y2) + blocks.r_vec(-1).dot(x2)) % 2:
         v = v + tors[2]  # multiply by Pi1 = (n, 1): x2 += e
         x2 = v.slice(6 + t, 6 + 2 * t)
-    assert not any(v[i] for i in (0, 1, 2, 3, 4)), "normalisation failed"
-    assert blocks.r_vec(-1).dot(y2) == 0
+    if any(v[i] for i in (0, 1, 2, 3, 4)) or blocks.r_vec(-1).dot(y2):
+        raise InternalDisagreement("normalisation failed")
 
     lam1 = monsky.decode_vector(v, sf)
 

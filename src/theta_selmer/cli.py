@@ -183,6 +183,9 @@ def main(argv=None) -> int:
     except (cassels.NotFound, descent.Undecided) as exc:
         print(f"escalation: {exc}", file=sys.stderr)
         return EX_UNDECIDED
+    except survey.OracleMismatch as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EX_VERIFY
 
 
 if __name__ == "__main__":

@@ -476,7 +476,8 @@ def selmer_group_oracle(n: SquarefreeInteger | int, check_closure: bool = True):
 def oracle_selmer_dimension(n: SquarefreeInteger | int) -> int:
     members, _ = selmer_group_oracle(n)
     size = len(members)
-    assert size & (size - 1) == 0
+    if size & (size - 1):
+        raise AssertionError(f"the oracle found {size} classes, not a power of 2")
     return size.bit_length() - 1
 
 
@@ -561,7 +562,8 @@ def find_real_point(curve: QuadricIntersection, rng: random.Random | None = None
     c2, d2 = curve.f2
     r1 = Fraction(c1) * t * t + Fraction(d1) * u3 * u3
     r2 = Fraction(c2) * t * t + Fraction(d2) * u3 * u3
-    assert r1 >= 0 and r2 >= 0
+    if r1 < 0 or r2 < 0:
+        raise AssertionError("real point is off the cover")
     s1 = 1 if rng is None else rng.choice((1, -1))
     s2 = 1 if rng is None else rng.choice((1, -1))
     s3 = 1 if rng is None else rng.choice((1, -1))

@@ -20,7 +20,8 @@ def probe_2adic_tables(sample_n=(41, 73, 97)) -> dict:
     checked = 0
     for n in sample_n:
         sf = factor_squarefree(n)
-        assert sf.eta == 1 and sf.ntilde % 8 == 1
+        if sf.eta != 1 or sf.ntilde % 8 != 1:
+            raise AssertionError(f"sample n={n} is not eta = 1, ntilde = 1 mod 8")
         for bits in range(64):
             g = [(bits >> i) & 1 for i in range(6)]
             b1 = (-1) ** g[0] * 2 ** g[1] * 3 ** g[2]

@@ -27,6 +27,10 @@ CSV_FIELDS = (
 )
 
 
+class OracleMismatch(Exception):
+    """The descent oracle's Selmer dimension differs from s2."""
+
+
 @dataclass(frozen=True)
 class SurveyRow:
     n: int
@@ -83,7 +87,7 @@ def analyze(m: SquarefreeInteger | int, theta: str, with_certificate: bool = Tru
     if with_oracle and sf.t <= 4:
         dim = descent.oracle_selmer_dimension(sf)
         if dim != s2:
-            raise AssertionError(f"oracle dimension {dim} != s2 {s2} at n={sf.value}")
+            raise OracleMismatch(f"oracle dimension {dim} != s2 {s2} at n={sf.value}")
         oracle_checked = True
     return SurveyRow(
         n=sf.value, theta=theta, eta=sf.eta, ntilde=sf.ntilde, t=sf.t,

@@ -2,14 +2,18 @@ import hashlib
 import itertools
 import json
 import math
+import os
+import pathlib
 import random
+import subprocess
+import sys
 import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from theta_selmer import arith, cassels, classgroup, descent, monsky, survey
+from theta_selmer import arith, cassels, classgroup, descent, gf2, monsky, survey
 from theta_selmer.arith import (
     OO,
     factor_range,
@@ -507,6 +511,66 @@ def test_conic_point_generic():
     assert math.gcd(math.gcd(x, y), z) == 1
 
 
+def _on_conic(quad, pt):
+    return sum(c * x * x for c, x in zip(quad, pt)) == 0
+
+
+def test_conic_point_on_every_cover_conic():
+    # every conic of a Selmer class's cover has points everywhere locally,
+    # so the ternary stream must return a point on each one
+    curves = conics = 0
+    for sf in factor_range(3000):
+        for theta in (monsky.THETA_PI3, monsky.THETA_2PI3):
+            rec = cassels._Analysis.of(sf, theta)
+            if rec.s2 < 4:
+                continue
+            curves += 1
+            for kv in gf2.kernel_basis(rec.mm.matrix):
+                cls = monsky.decode_vector(kv, rec.n)
+                curve = descent.curve_for(rec.n, cls)
+                for quad in (curve.h1, curve.h2, curve.h3):
+                    pt = cassels.conic_point(quad)
+                    assert min(pt) >= 0 and math.gcd(*pt) == 1, (rec.n.value, cls, quad, pt)
+                    assert _on_conic(quad, pt), (rec.n.value, cls, quad, pt)
+                    conics += 1
+    assert curves > 800 and conics > 10000
+
+
+def test_conic_point_edge_cases():
+    # soluble, with a first point whose largest coordinate is near 8e7
+    quad = (256446233, 383265919, -1)
+    pt = cassels.conic_point(quad)
+    assert _on_conic(quad, pt) and math.gcd(*pt) == 1
+    # no point over Q_2
+    with pytest.raises(Insoluble):
+        cassels.conic_point((3, 1000003, -1))
+    # f = -g: the stream's first solution (1, 1, 0) has c = 0
+    assert cassels.conic_point((19501, 1, -19501)) == (1, 0, 1)
+
+
+def _pq_members(family, count):
+    theta = monsky.THETA_PI3 if family == FAMILY_F5 else monsky.THETA_2PI3
+    out = []
+    for sf in factor_range(10**5):
+        rec = cassels._Analysis.of(sf, theta)
+        if rec.family == family and legendre_additive(*rec.pq) == 0:
+            out.append(rec)
+            if len(out) == count:
+                return out
+    raise AssertionError(f"fewer than {count} {family} pairings")
+
+
+@pytest.mark.parametrize("family", [FAMILY_F5, FAMILY_F11])
+def test_pq_torsion_checks_first_pairings(family):
+    form = "px2-qy2=z2" if family == FAMILY_F5 else "px2+qy2=z2"
+    for rec in _pq_members(family, 20):
+        p, q = rec.pq
+        sol = solve_ternary(form, (p, q))
+        curve, lines = cassels._tangents_pq(rec.n, p, q, sol)
+        checks = cassels.torsion_pairing_checks(curve, lines, [OO, 2, 3, p, q], rec.n)
+        assert [c["pairing"] for c in checks] == [0, 0], (p, q)
+
+
 def test_ternary_solutions_keep_pairing_coordinates_prime_to_q_and_n():
     # in a primitive solution of p a^2 -+ q b^2 = c^2, q | a would force
     # q | c and then q | b; in one of 4 c^2 = d a^2 + (n/d) b^2 a prime of
@@ -549,6 +613,31 @@ def test_check_tangency_rejects_wrong_lines(case):
     for bad_point, bad_line in ((point, flipped), (point, bumped), (point, stray), (off, line)):
         with pytest.raises(AssertionError):
             cassels._check_tangency(quad, variables, bad_point, bad_line)
+
+
+def test_check_tangency_holds_under_optimize():
+    # python -O strips assert statements; the tangency check must still raise
+    code = (
+        "import sys\n"
+        "from theta_selmer import cassels\n"
+        "quad, var, pt = (3, 1, -1), ('t', 'u1', 'u2'), (1, 1, 2)\n"
+        "line = cassels.tangent_from_point(quad, var, pt)\n"
+        "flipped = (-line[0],) + line[1:]\n"
+        "for point, bad in ((pt, flipped), ((1, 1, 3), line)):\n"
+        "    try:\n"
+        "        cassels._check_tangency(quad, var, point, bad)\n"
+        "        print('accepted')\n"
+        "    except cassels.InternalDisagreement as exc:\n"
+        "        print(exc)\n"
+        "print(sys.flags.optimize)\n"
+    )
+    src = str(pathlib.Path(cassels.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True,
+                          timeout=120, env={**os.environ, "PYTHONPATH": path})
+    assert proc.stdout.splitlines() == [
+        "line is not tangent at the point", "point is not on the conic", "1"
+    ], proc.stderr
 
 
 def test_pq_torsion_checks_f11():

@@ -6,7 +6,9 @@ import statement must be read somewhere in the module, or be listed in its
 ``__all__`` (the package's re-exports).  Every import sits at module level,
 so a module's dependencies are all in its header.  The dead-helper guard
 asks the same of module-level private functions, classes and constants,
-across the whole package.
+across the whole package.  No module uses a bare ``assert`` either:
+``python -O`` strips them, and the package's own checks must hold in
+every mode.
 """
 
 import ast
@@ -150,3 +152,26 @@ def test_detector_flags_a_dead_constant():
 def test_no_dead_private_helpers():
     sources = {path.stem: path.read_text() for path in PACKAGE.glob("*.py")}
     assert dead_helpers(sources) == []
+
+
+def bare_asserts(source: str) -> list[str]:
+    """The assert statements of a module, which python -O strips."""
+    lines = sorted(node.lineno for node in ast.walk(ast.parse(source))
+                   if isinstance(node, ast.Assert))
+    return [f"line {line}" for line in lines]
+
+
+def test_detector_flags_a_bare_assert():
+    src = (
+        "def f(x):\n    assert x, 'x'\n    if not x:\n        raise AssertionError('x')\n"
+        "class C:\n    def g(self):\n        for _ in ():\n            assert self\n"
+        "assert f\n"
+    )
+    assert bare_asserts(src) == ["line 2", "line 8", "line 9"]
+
+
+@pytest.mark.parametrize(
+    "path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name
+)
+def test_no_bare_asserts(path):
+    assert bare_asserts(path.read_text()) == []

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import pickle
 import subprocess
 import sys
 
@@ -336,3 +337,17 @@ def test_verify_oracle_reports_a_monsky_mismatch(monkeypatch, capsys):
         assert d["in_kernel"] == (tuple(d["lambda"]) not in oracle)
         if tuple(d["lambda"]) not in oracle:
             assert any(ok is False for _, ok in d["local_solvability"]), d
+
+
+def test_survey_oracle_mismatch_exit_2(monkeypatch, capsys):
+    # an oracle that reads two dimensions high disagrees with s2 at the
+    # first row, n = 1; the typed error survives a worker's pickling
+    real = descent.oracle_selmer_dimension
+    monkeypatch.setattr(descent, "oracle_selmer_dimension", lambda n: real(n) + 2)
+    argv = ["survey", "--max", "10", "--oracle-max", "10", "--jobs", "1"]
+    assert cli.main(argv) == cli.EX_VERIFY == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.rstrip().endswith("at n=1"), err
+    exc = pickle.loads(pickle.dumps(survey.OracleMismatch("at n=1")))
+    assert isinstance(exc, survey.OracleMismatch) and exc.args == ("at n=1",)
