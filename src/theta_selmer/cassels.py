@@ -28,6 +28,7 @@ from . import classgroup, descent, gf2, monsky
 from .arith import (
     OO,
     SquarefreeInteger,
+    factor_range,
     factor_squarefree,
     factorize,
     hilbert_additive,
@@ -57,6 +58,12 @@ KIND_UNKNOWN = "Unknown"
 FAMILY_F19 = "F19"
 FAMILY_F5 = "F5"
 FAMILY_F11 = "F11"
+
+# the (theta, m mod 24) class of each family; F5 and F11 also need m = p q
+# with p = 1 mod 3 (split_pq), and F19 needs eta = 1 (m > 0) and r4(-m) = 1
+FAMILY_CLASS = {FAMILY_F5: (THETA_PI3, 5), FAMILY_F11: (THETA_2PI3, 11),
+                FAMILY_F19: (THETA_PI3, 19)}
+_FAMILY_OF = {cls: family for family, cls in FAMILY_CLASS.items()}
 
 
 class NotFound(Exception):
@@ -347,7 +354,8 @@ def conic_point(quad: tuple[int, int, int]) -> tuple[int, int, int]:
 
     With c_k of least size, -c_i c_k = f u^2 and -c_j c_k = g w^2 for f, g
     squarefree; the first solution of f a^2 + g b^2 = c^2 in the ternary stream
-    gives x_i = a w c_k, x_j = b u c_k, x_k = c u w.  Raises Insoluble if the
+    gives x_i = a w c_k, x_j = b u c_k, x_k = c u w; f = 1 or g = 1 takes
+    (1, 0, 1) or (0, 1, 1) without the stream.  Raises Insoluble if the
     conic has no point over some completion of Q.
     """
     primes = sorted({p for c in quad for p, _ in factorize(abs(c))})
@@ -359,7 +367,9 @@ def conic_point(quad: tuple[int, int, int]) -> tuple[int, int, int]:
             f, u = f // (p * p), u * p
         while g % (p * p) == 0:
             g, w = g // (p * p), w * p
-    for sols in _shells(f, g, primes):
+    # the stream yields only a, b >= 1, never the point (1, 0, 1) or (0, 1, 1)
+    first = [[(1, 0, 1)]] if f == 1 else [[(0, 1, 1)]] if g == 1 else _shells(f, g, primes)
+    for sols in first:
         for a, b, c in sols[:1]:
             pt = {i: a * w * quad[k], j: b * u * quad[k], k: c * u * w}
             h = math.gcd(*pt.values())
@@ -518,12 +528,6 @@ def split_pq(m: SquarefreeInteger | int) -> tuple[int, int] | None:
     return p, q
 
 
-# the (theta, m mod 24) class of each family; F5 and F11 also need m = p q
-# with p = 1 mod 3 (split_pq), and F19 needs eta = 1 (m > 0) and r4(-m) = 1
-_FAMILY_CLASS = {(THETA_PI3, 5): FAMILY_F5, (THETA_2PI3, 11): FAMILY_F11,
-                 (THETA_PI3, 19): FAMILY_F19}
-
-
 @dataclass(frozen=True)
 class _Analysis:
     """What certify, survey.analyze, the family pairings and the scans read
@@ -553,10 +557,19 @@ class _Analysis:
         m_table = tuple([r >> 1 for r in table[1:]] if msf.has_three else table)
         mm = monsky.build_monsky(sf, m_table)
         r4, pq = classgroup.r4(-msf, table), split_pq(msf)
-        family = _FAMILY_CLASS.get((theta, msf.value % 24))
+        family = _FAMILY_OF.get((theta, msf.value % 24))
         member = msf.eta == 1 and r4 == 1 if family == FAMILY_F19 else pq is not None
         return cls(msf, theta, sf, m_table, mm, monsky.selmer_rank(mm), r4, pq,
                    family if member else None)
+
+
+def family_members(family: str, max_n: int):
+    """The analyses of the members m <= max_n of family, by ascending m."""
+    if family not in FAMILY_CLASS:
+        raise ValueError(f"unknown family {family!r}")
+    theta, residue = FAMILY_CLASS[family]
+    recs = (_Analysis.of(m, theta) for m in factor_range(max_n) if m.value % 24 == residue)
+    return (rec for rec in recs if rec.family == family)
 
 
 # ---------------------------------------------------------------------------
@@ -584,7 +597,7 @@ def pairing_f19(n: SquarefreeInteger | int | _Analysis, rng: random.Random | Non
     InternalDisagreement if they differ.  Returns (value, evidence dict).
     n may be the analysis certify already holds for (n, pi/3).
     """
-    rec = n if isinstance(n, _Analysis) else _Analysis.of(n, THETA_PI3)
+    rec = n if isinstance(n, _Analysis) else _Analysis.of(n, FAMILY_CLASS[FAMILY_F19][0])
     if rec.family != FAMILY_F19:
         raise HypothesisFailed("n = 19 mod 24 with r4(-n) = 1 required")
     sf, mm = rec.n, rec.mm
@@ -722,7 +735,7 @@ def pairing_pq(p: int, q: int, family: str, rng: random.Random | None = None,
     """
     if family not in (FAMILY_F5, FAMILY_F11):
         raise ValueError(f"unknown family {family!r}")
-    rec = _analysis or _Analysis.of(p * q, THETA_PI3 if family == FAMILY_F5 else THETA_2PI3)
+    rec = _analysis or _Analysis.of(p * q, FAMILY_CLASS[family][0])
     if rec.family != family:
         raise HypothesisFailed(f"{p} * {q} is not a member of {family}")
     # pq = 2 mod 3, so exactly one prime is 1 mod 3 and rec.pq puts it first

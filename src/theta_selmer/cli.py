@@ -75,6 +75,10 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--max", type=int, default=100000)
     d.add_argument("--format", choices=("json", "text"), default="text")
 
+    cr = sub.add_parser("certify-rate", help="certified fractions of the four family scans")
+    cr.add_argument("--max", type=int, default=20000)
+    cr.add_argument("--jobs", type=int, default=None)
+
     sc = sub.add_parser("selfcheck", help="erratum probes (informational)")
     sc.add_argument("--max", type=int, default=3000)
     return p
@@ -148,6 +152,13 @@ def cmd_density(args) -> int:
     return EX_OK
 
 
+def cmd_certify_rate(args) -> int:
+    for family in ("f5", "f11", "cor15", "cor16"):
+        rep = survey.scan_certification(family, args.max, jobs=args.jobs)
+        print(json.dumps(rep.as_dict(), sort_keys=True))
+    return EX_OK
+
+
 def cmd_selfcheck(args) -> int:
     findings = selfcheck.run_all(max_n=args.max)
     print(json.dumps(findings, sort_keys=True, indent=2, default=str))
@@ -173,6 +184,7 @@ def main(argv=None) -> int:
         "verify-parity": cmd_verify_parity,
         "verify-oracle": cmd_verify_oracle,
         "density": cmd_density,
+        "certify-rate": cmd_certify_rate,
         "selfcheck": cmd_selfcheck,
     }
     try:

@@ -34,6 +34,14 @@ class UnsupportedPrime(Exception):
     pass
 
 
+# the template of each class: eta -> the ids for ntilde = 1, 3, 5, 7 mod 8
+_TEMPLATE_OF = {
+    1: ("A1", "A3", "A2", "A3"), 2: ("B1",) * 4,
+    3: ("C3", "C1", "C3", "C2"), 6: ("D1",) * 4,
+    -1: ("A6", "A4", "A6", "A5"), -2: ("B2",) * 4,
+    -3: ("C4", "C6", "C5", "C6"), -6: ("D2",) * 4,
+}
+
 # scalar rows: six entry tokens, then the y-block and x-block vector tokens.
 # Vector tokens name r_d rows: "r-1", "r2", "r-3", or "0".
 _TEMPLATE_SCALAR_ROWS = {
@@ -187,38 +195,7 @@ _TEMPLATES = {
 
 def select_template(n: SquarefreeInteger) -> str:
     """Template id from eta and the residue class of ntilde."""
-    eta, nt = n.eta, n.ntilde
-    if eta == 1:
-        if nt % 8 == 1:
-            return "A1"
-        if nt % 8 == 5:
-            return "A2"
-        return "A3"
-    if eta == 2:
-        return "B1"
-    if eta == 3:
-        if nt % 8 == 3:
-            return "C1"
-        if nt % 8 == 7:
-            return "C2"
-        return "C3"
-    if eta == 6:
-        return "D1"
-    if eta == -1:
-        if nt % 8 == 3:
-            return "A4"
-        if nt % 8 == 7:
-            return "A5"
-        return "A6"
-    if eta == -2:
-        return "B2"
-    if eta == -3:
-        if nt % 8 == 1:
-            return "C4"
-        if nt % 8 == 5:
-            return "C5"
-        return "C6"
-    return "D2"
+    return _TEMPLATE_OF[n.eta][n.ntilde % 8 >> 1]
 
 
 # ---------------------------------------------------------------------------

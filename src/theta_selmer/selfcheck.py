@@ -6,7 +6,7 @@ informational; findings are data, not build failures.
 from __future__ import annotations
 
 from . import cassels, classgroup, descent, monsky, survey
-from .arith import factor_range, factor_squarefree, legendre_additive
+from .arith import factor_squarefree, legendre_additive
 from .monsky import TwoCoverClass
 
 
@@ -57,22 +57,13 @@ def probe_2adic_tables(sample_n=(41, 73, 97)) -> dict:
     }
 
 
-def _f19_members(max_n: int):
-    """The analyses of the n <= max_n in the n = 19 mod 24, r4(-n) = 1 family."""
-    for sf in factor_range(max_n):
-        if sf.value % 24 == 19:
-            rec = cassels._Analysis.of(sf, monsky.THETA_PI3)
-            if rec.family == cassels.FAMILY_F19:
-                yield rec
-
-
 def probe_f19_routes(max_n: int = 4000) -> dict:
     """Closed form / linear system vs the raw local sum on the
     n = 19 mod 24, r4 = 1 family; also the two printed closed forms."""
     by_class: dict[str, list[int]] = {}
     first_vs_final = []
     scanned = []
-    for rec in _f19_members(max_n):
+    for rec in cassels.family_members(cassels.FAMILY_F19, max_n):
         n = rec.m.value
         val, ev = cassels.pairing_f19(rec)
         scanned.append(n)
@@ -97,17 +88,13 @@ def probe_f19_routes(max_n: int = 4000) -> dict:
 def probe_pq_criterion(max_n: int = 6000) -> dict:
     """[beta/q] (the printed criterion) vs the true pairing."""
     out = {}
-    for family, residue, theta in ((cassels.FAMILY_F5, 5, monsky.THETA_PI3),
-                                   (cassels.FAMILY_F11, 11, monsky.THETA_2PI3)):
+    for family in (cassels.FAMILY_F5, cassels.FAMILY_F11):
         agree = total = 0
         mismatches = []
         sign_fixes = []
-        for sf in factor_range(max_n):
-            m = sf.value
-            if m % 24 != residue:
-                continue
-            rec = cassels._Analysis.of(sf, theta)
-            if rec.family != family or legendre_additive(*rec.pq) != 0:
+        for rec in cassels.family_members(family, max_n):
+            m = rec.m.value
+            if legendre_additive(*rec.pq) != 0:
                 continue
             val, ev = cassels.pairing_pq(*rec.pq, family, _analysis=rec)
             total += 1
@@ -153,7 +140,7 @@ def probe_r8_oracle(max_n: int = 4000) -> dict:
     reduced-forms oracle's 8-rank."""
     checked = []
     mismatches = []
-    for rec in _f19_members(max_n):
+    for rec in cassels.family_members(cassels.FAMILY_F19, max_n):
         sf, n = rec.m, rec.m.value
         blocks = monsky.build_blocks(sf)
         d_star, _ = classgroup.splitting_divisor(blocks)

@@ -249,13 +249,12 @@ def _cert_one(rec):
     return cassels.certify(rec, rec.theta).kind
 
 
-# each certification scan's (m mod 24) classes, theta and family; the
-# corollary scans take the r4(-m) = 0 members of their classes instead
-_CERT_SCANS = {
-    "f5": ((5,), monsky.THETA_PI3, cassels.FAMILY_F5),
-    "f11": ((11,), monsky.THETA_2PI3, cassels.FAMILY_F11),
-    "cor15": ((3, 7, 15, 19), monsky.THETA_PI3, None),
-    "cor16": ((2, 3, 6, 11, 14, 18), monsky.THETA_2PI3, None),
+# the scans of the F5 and F11 families, and the corollary scans, which take
+# the r4(-m) = 0 members of their (m mod 24) classes at their theta
+_FAMILY_SCANS = {"f5": cassels.FAMILY_F5, "f11": cassels.FAMILY_F11}
+_COROLLARY_SCANS = {
+    "cor15": ((3, 7, 15, 19), monsky.THETA_PI3),
+    "cor16": ((2, 3, 6, 11, 14, 18), monsky.THETA_2PI3),
 }
 
 
@@ -268,15 +267,16 @@ def scan_certification(family: str, max_n: int, jobs: int = 1) -> DensityReport:
     of each m in the scan's residue classes, which certify then reads too.
     """
     fam = family.lower()
-    if fam not in _CERT_SCANS:
+    member = _FAMILY_SCANS.get(fam)
+    if member:
+        items = list(cassels.family_members(member, max_n))
+    elif fam in _COROLLARY_SCANS:
+        residues, theta = _COROLLARY_SCANS[fam]
+        recs = (cassels._Analysis.of(m, theta) for m in factor_range(max_n)
+                if m.value % 24 in residues and m.value not in (2, 3, 6))
+        items = [rec for rec in recs if rec.r4 == 0]
+    else:
         raise ValueError(f"unknown family {family!r}")
-    residues, theta, member = _CERT_SCANS[fam]
-    recs = (
-        cassels._Analysis.of(m, theta)
-        for m in factor_range(max_n)
-        if m.value % 24 in residues and m.value not in (2, 3, 6)
-    )
-    items = [rec for rec in recs if (rec.family == member if member else rec.r4 == 0)]
     counts: dict[str, int] = {}
     for kind in _pmap(_cert_one, items, jobs):
         counts[kind] = counts.get(kind, 0) + 1
@@ -286,7 +286,7 @@ def scan_certification(family: str, max_n: int, jobs: int = 1) -> DensityReport:
             cassels.KIND_S2EQ2, cassels.KIND_CASSELS, cassels.KIND_THM71))
         frac = certified / size if size else None
         return DensityReport(
-            population=f"pq = {residues[0]} mod 24, pq <= {max_n}",
+            population=f"pq = {cassels.FAMILY_CLASS[member][1]} mod 24, pq <= {max_n}",
             size=size, counts=counts, fraction=frac,
             target=0.75, tolerance=0.03,
             passed=(size == 0) or frac >= 0.72, empty=size == 0,

@@ -7,6 +7,7 @@ import pathlib
 import random
 import subprocess
 import sys
+import time
 import tracemalloc
 
 import pytest
@@ -648,3 +649,31 @@ def test_pq_torsion_checks_f11():
     curve, lines = cassels._tangents_pq(rec.n, p, q, sol)
     checks = cassels.torsion_pairing_checks(curve, lines, [OO, 2, 3, p, q], rec.n)
     assert [c["pairing"] for c in checks] == [0, 0]
+
+
+@pytest.mark.parametrize("family, theta, residue", [
+    ("F5", monsky.THETA_PI3, 5), ("F11", monsky.THETA_2PI3, 11), ("F19", monsky.THETA_PI3, 19),
+])
+def test_family_members_is_the_hand_walk(family, theta, residue):
+    by_hand = [sf.value for sf in factor_range(5000) if sf.value % 24 == residue
+               and cassels._Analysis.of(sf, theta).family == family]
+    walked = list(cassels.family_members(family, 5000))
+    assert [rec.m.value for rec in walked] == by_hand and len(by_hand) > 20
+    assert all(rec.theta == theta and rec.family == family for rec in walked)
+
+
+def test_family_members_unknown_family():
+    with pytest.raises(ValueError, match="unknown family"):
+        cassels.family_members("F7", 100)
+
+
+def test_conic_point_with_a_zero_coordinate():
+    # f = 1 or g = 1 after the squares are stripped: the stream, which yields
+    # only a, b >= 1, would search far past (0, 1, 1) here
+    quad = (4001468, 1, -1)
+    t0 = time.perf_counter()
+    pt = cassels.conic_point(quad)
+    assert time.perf_counter() - t0 < 0.1
+    assert _on_conic(quad, pt) and math.gcd(*pt) == 1 and 0 in pt
+    assert cassels.conic_point((256446233, 383265919, -1)) == (2101, 3668, 79300383)
+    assert cassels.conic_point((19501, 1, -19501)) == (1, 0, 1)

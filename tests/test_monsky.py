@@ -273,3 +273,21 @@ def test_s2_bounded_by_r4_for_eta1_classes():
         if sf.eta != 1:
             continue
         assert selmer_rank(sf) <= 2 + 2 * classgroup.r4(-m), m
+
+
+def test_select_template_every_cell():
+    # n = eta * ntilde with ntilde = 17, 11, 5, 7, one prime per class mod 8
+    want = {
+        (1, 1): "A1", (1, 3): "A3", (1, 5): "A2", (1, 7): "A3",
+        (2, 1): "B1", (2, 3): "B1", (2, 5): "B1", (2, 7): "B1",
+        (3, 1): "C3", (3, 3): "C1", (3, 5): "C3", (3, 7): "C2",
+        (6, 1): "D1", (6, 3): "D1", (6, 5): "D1", (6, 7): "D1",
+        (-1, 1): "A6", (-1, 3): "A4", (-1, 5): "A6", (-1, 7): "A5",
+        (-2, 1): "B2", (-2, 3): "B2", (-2, 5): "B2", (-2, 7): "B2",
+        (-3, 1): "C4", (-3, 3): "C6", (-3, 5): "C5", (-3, 7): "C6",
+        (-6, 1): "D2", (-6, 3): "D2", (-6, 5): "D2", (-6, 7): "D2",
+    }
+    for (eta, cls), template in want.items():
+        sf = factor_squarefree(eta * {1: 17, 3: 11, 5: 5, 7: 7}[cls])
+        assert (sf.eta, sf.ntilde % 8) == (eta, cls)
+        assert select_template(sf) == template, (eta, cls)

@@ -1,6 +1,8 @@
+import argparse
 import hashlib
 import json
 import os
+import pathlib
 import pickle
 import subprocess
 import sys
@@ -351,3 +353,29 @@ def test_survey_oracle_mismatch_exit_2(monkeypatch, capsys):
     assert err.startswith("error: ") and err.rstrip().endswith("at n=1"), err
     exc = pickle.loads(pickle.dumps(survey.OracleMismatch("at n=1")))
     assert isinstance(exc, survey.OracleMismatch) and exc.args == ("at n=1",)
+
+
+def test_cli_certify_rate_unchanged(monkeypatch, capsys):
+    # the four family scans of the removed scan_families script, whose output
+    # test_scan_certification_unchanged froze
+    monkeypatch.delenv("THETA_SELMER_JOBS", raising=False)
+    assert cli.main(["certify-rate", "--max", "5000"]) == cli.EX_OK
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out[:-1].encode()).hexdigest() == (
+        "a9a1a653f1e9420fd6698b5296f07e060b19290ec08464b07c03a84d6876d855"
+    )
+
+
+def test_cli_certify_rate_bad_jobs_exit_64():
+    code, out, err = run_cli("certify-rate", "--max", "10", env={"THETA_SELMER_JOBS": "abc"})
+    assert code == 64 and out == ""
+    assert "THETA_SELMER_JOBS" in err and "Traceback" not in err
+
+
+def test_readme_cli_block_names_every_subcommand():
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```")[1]
+    named = {line.split()[1] for line in block.splitlines() if line.startswith("theta-selmer ")}
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert named == set(sub.choices)
