@@ -76,17 +76,22 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@lru_cache(maxsize=None)
-def sieve_primes(limit: int) -> tuple[int, ...]:
-    """All primes <= limit (simple sieve, cached)."""
+def primes_up_to(limit: int) -> tuple[int, ...]:
+    """All primes <= limit (simple sieve), not cached: the caller drops them."""
     if limit < 2:
         return ()
     mark = bytearray([1]) * (limit + 1)
     mark[0] = mark[1] = 0
     for i in range(2, math.isqrt(limit) + 1):
         if mark[i]:
-            mark[i * i :: i] = bytearray(len(mark[i * i :: i]))
-    return tuple(i for i, m in enumerate(mark) if m)
+            mark[i * i :: i] = bytes(len(range(i * i, limit + 1, i)))
+    return tuple(itertools.compress(range(limit + 1), mark))
+
+
+@lru_cache(maxsize=None)
+def sieve_primes(limit: int) -> tuple[int, ...]:
+    """primes_up_to(limit), cached, for the small bounds read again and again."""
+    return primes_up_to(limit)
 
 
 def _pollard_rho(n: int) -> int:
@@ -208,10 +213,9 @@ def factor_squarefree(n: int) -> SquarefreeInteger:
     return SquarefreeInteger(n, sign, has_two, has_three, tuple(primes))
 
 
-def squarefree_walk(limit: int, even_limit: int | None = None):
+def squarefree_walk(limit: int):
     """Yield (m, odd) for every squarefree 1 <= m <= limit, ascending, where
-    odd are the odd primes of m, 3 included, ascending; even m are walked
-    only up to even_limit (default limit).
+    odd are the odd primes of m, 3 included, ascending.
 
     One smallest-prime-factor sieve serves the whole range, so a scan
     factors each m exactly once.  A limit below 1 yields nothing.
@@ -226,9 +230,6 @@ def squarefree_walk(limit: int, even_limit: int | None = None):
     for p in reversed(sieve_primes(math.isqrt(limit))):
         spf[p * p :: p] = array("l", [p]) * ((limit - p * p) // p + 1)
         squarefree[p * p :: p * p] = bytes((limit - p * p) // (p * p) + 1)
-    if even_limit is not None:
-        start = even_limit // 2 * 2 + 2
-        squarefree[start::2] = bytes(len(range(start, limit + 1, 2)))
     for m in itertools.compress(range(limit + 1), squarefree):
         k = m if m & 1 else m >> 1
         odd = []

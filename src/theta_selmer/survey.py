@@ -8,6 +8,8 @@ import json
 import math
 import multiprocessing as mp
 import os
+from bisect import bisect_right
+from collections import Counter
 from dataclasses import asdict, dataclass
 
 from . import cassels, classgroup, descent, gf2, monsky
@@ -16,7 +18,7 @@ from .arith import (
     factor_range,
     factor_squarefree,
     legendre_table,
-    squarefree_walk,
+    primes_up_to,
 )
 
 SCHEMA_VERSION = 1
@@ -203,26 +205,64 @@ def fk_density(k: int, sign: int) -> float:
 def scan_r4_density(max_absD: int) -> list[DensityReport]:
     """Empirical r4 distribution over fundamental discriminants |D| <= bound.
 
-    The Redei rows of -m and m are read off one Legendre table.  Targets are
-    the pinned acceptance numbers (28.87% for D < 0 and 14.43% for D > 0 at
-    k = 0, tolerance 1.5 points).  The k = 1 negative target comes from the
-    displayed product formula.  A sign with no discriminant under the bound
-    is reported empty, and passes, as in the other scans.
+    D runs over -m and m for squarefree m, with |D| = m when D = 1 mod 4 and
+    4m otherwise; D = 1 is no field.  The m are walked depth first over
+    products of odd primes: a node is P = p_1 ... p_k, ascending, and its
+    children are m = P p and 2 P p for the primes p > p_k under the bound.
+    R(-m) and R(m) depend on p only through its signature, p mod 8 and the
+    bits [p/p_i] (the [p_i/p] follow by reciprocity), while whether P p is
+    at most a quarter of the bound decides which signs give a |D| under it.
+    So a node runs the Redei kernel once per signature, on one child of that
+    signature, and counts the other children alike.  A child's bits are its
+    parent's and one Euler-criterion pow modulo the newest prime.
+
+    Targets are the pinned acceptance numbers (28.87% for D < 0 and 14.43%
+    for D > 0 at k = 0, tolerance 1.5 points).  The k = 1 negative target
+    comes from the displayed product formula.  A sign with no discriminant
+    under the bound is reported empty, and passes, as in the other scans.
     """
     neg, pos = {}, {}
-    # |D| = |d| for d = 1 mod 4, else 4|d|; even m above a quarter of the
-    # bound give no discriminant and are not walked; D = 1 (m = 1) is no field
     quarter = max_absD // 4
-    for m, odd in squarefree_walk(max_absD, quarter):
-        table = legendre_table(odd)
-        if m % 4 == 3 or m <= quarter:
-            rows = classgroup._redei_rows(-m, odd, table)
-            r = len(rows) - 1 - gf2.rank_rows(rows)
-            neg[r] = neg.get(r, 0) + 1
-        if m > 1 if m % 4 == 1 else m <= quarter:
-            rows = classgroup._redei_rows(m, odd, table)
-            r = len(rows) - 1 - gf2.rank_rows(rows)
-            pos[r] = pos.get(r, 0) + 1
+    primes = primes_up_to(max_absD)[1:]  # the odd ones; freed on return
+
+    def add(m, odd, table, n_neg, n_pos):
+        for d, n, hist in ((-m, n_neg, neg), (m, n_pos, pos)):
+            if n:
+                rows = classgroup._redei_rows(d, odd, table)
+                r = len(rows) - 1 - gf2.rank_rows(rows)
+                hist[r] = hist.get(r, 0) + n
+
+    def visit(P, odd, lo, sigs):
+        # the children are p = primes[lo + i] <= bound / P, of signature sigs[i]
+        hi = lo + len(sigs)
+        ps = primes[lo:hi]
+        keys = [s << 3 | p & 6 for s, p in zip(sigs, ps)]
+        # 2 P p needs 8 P p <= bound; P p needs 4 P p <= bound for both signs
+        even = Counter(keys[:bisect_right(primes, quarter // (2 * P), lo, hi) - lo])
+        cut = bisect_right(primes, quarter // P, lo, hi) - lo
+        small, large = Counter(keys[:cut]), Counter(keys[cut:])
+        for key, p in dict(zip(keys, ps)).items():
+            m, odd_m = P * p, odd + (p,)
+            table = legendre_table(odd_m)
+            add(2 * m, odd_m, table, even[key], even[key])
+            # above the quarter only D = m = 1 mod 4 and D = -m = 1 mod 4 count
+            rest = large[key]
+            add(m, odd_m, table, small[key] + (rest if m & 2 else 0),
+                small[key] + (0 if m & 2 else rest))
+        k, limit = len(odd), max_absD // P
+        for i, p in enumerate(ps):
+            j = lo + i + 1
+            top = bisect_right(primes, limit // p, j, hi)
+            if top == j:
+                break
+            visit(P * p, odd + (p,), j, [s | (pow(q, p >> 1, p) != 1) << k
+                                         for s, q in zip(sigs[i + 1:top - lo], primes[j:top])])
+
+    # m = 1 (D = -4) and m = 2 (D = -8, 8) have no odd prime
+    add(1, (), [], quarter >= 1, 0)
+    add(2, (), [], quarter >= 2, quarter >= 2)
+    visit(1, (), 0, [0] * len(primes))
+    del visit  # a cycle through its own cell, which would hold primes until a gc
     counts = {-1: neg, 1: pos}
     reports = []
     for sign in (-1, 1):

@@ -19,6 +19,7 @@ from theta_selmer.arith import (
     is_prime,
     is_squarefree,
     legendre_additive,
+    primes_up_to,
     sieve_primes,
     split_valuation,
     sqrt_mod,
@@ -60,17 +61,18 @@ def test_factor_range_matches_factor_squarefree():
 
 def test_squarefree_walk_matches_factor_squarefree():
     # the walk yields m with its odd primes, 3 included, ascending; factor_range
-    # is the walk with 3 split off, and even m stop at even_limit
+    # is the walk with 3 split off
     for limit in (0, 1, 2, 3000):
         want = [factor_squarefree(m) for m in range(1, limit + 1) if is_squarefree(m)]
         walk = list(squarefree_walk(limit))
         assert walk == [(sf.value, (3,) * sf.has_three + sf.odd_primes) for sf in want]
         assert list(factor_range(limit)) == want
-    walk = list(squarefree_walk(3000))
-    for even_limit in (-1, 0, 1, 2, 5, 6, 749, 750, 751, 2999, 3000, 4000):
-        assert list(squarefree_walk(3000, even_limit)) == [
-            (m, odd) for m, odd in walk if m % 2 or m <= even_limit
-        ], even_limit
+
+
+def test_primes_up_to_matches_is_prime():
+    for limit in (-1, 0, 1, 2, 3, 4, 1000):
+        want = tuple(n for n in range(limit + 1) if is_prime(n))
+        assert primes_up_to(limit) == sieve_primes(limit) == want, limit
 
 
 def test_eps_omega_bit_forms():

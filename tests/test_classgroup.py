@@ -92,8 +92,8 @@ def test_density_histograms_match_hilbert_definition():
 
 
 def test_density_scan_builds_no_objects_and_calls_no_symbols(monkeypatch):
-    # the scan reads the sieve walk and the kernel's own bit forms of eps and
-    # omega: no SquarefreeInteger, no eps/omega call
+    # the scan walks prime products and reads the kernel's own bit forms of
+    # eps and omega: no SquarefreeInteger, no eps/omega call
     calls = {"SquarefreeInteger": 0, "eps": 0, "omega": 0}
 
     def counted(name, fn):

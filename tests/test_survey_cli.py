@@ -1,4 +1,5 @@
 import argparse
+import gc
 import hashlib
 import json
 import os
@@ -9,7 +10,7 @@ import sys
 
 import pytest
 
-from theta_selmer import cassels, classgroup, cli, descent, monsky, survey
+from theta_selmer import arith, cassels, classgroup, cli, descent, monsky, survey
 from theta_selmer.arith import factor_range, factor_squarefree, is_squarefree, squarefree_walk
 from theta_selmer.gf2 import BitMatrix, BitVector
 from theta_selmer.monsky import THETA_2PI3, THETA_PI3
@@ -92,6 +93,55 @@ def test_density_negative_histogram_matches_forms_oracle():
     neg0, neg1 = survey.scan_r4_density(3000)[:2]
     assert neg0.counts == neg1.counts == want
     assert neg0.size == sum(want.values())
+
+
+def test_density_walk_matches_reference_histograms():
+    # the prime-product walk and its signature tally against r4 taken D by D
+    # from is_fundamental and classgroup.r4, over every bound in -5..400
+    r4_of = {}
+    for D in range(-10007, 10008):
+        if D != 1 and classgroup.is_fundamental(D):
+            r4_of[D] = str(classgroup.r4(D if D % 4 == 1 else D // 4))
+    small = {D: k for D, k in r4_of.items() if abs(D) <= 400}
+    for bound in [*range(-5, 401), 4095, 4096, 4097, 10007]:
+        want: dict[int, dict[str, int]] = {-1: {}, 1: {}}
+        for D, k in (small if bound <= 400 else r4_of).items():
+            if abs(D) <= bound:
+                hist = want[1 if D > 0 else -1]
+                hist[k] = hist.get(k, 0) + 1
+        reports = survey.scan_r4_density(bound)
+        assert [r.counts for r in reports] == [want[-1], want[-1], want[1], want[1]], bound
+
+
+def test_density_walk_counts_its_redei_builds(monkeypatch):
+    # at 2e5 the walk builds far fewer than the 121,588 Redei matrices of its
+    # discriminants
+    calls = 0
+    kernel = classgroup._redei_rows
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return kernel(*args)
+
+    monkeypatch.setattr(classgroup, "_redei_rows", counted)
+    reports = survey.scan_r4_density(200000)
+    assert sum(r.size for r in reports[::2]) == 121588
+    assert 0 < calls <= 20000, calls
+
+
+def test_density_scan_frees_its_primes_on_return():
+    # the primes up to the bound go when the scan returns: no cache keeps
+    # them, and no reference cycle waits for the collector
+    cached = arith.sieve_primes.cache_info().currsize
+    gc.collect()
+    gc.disable()
+    try:
+        survey.scan_r4_density(3000)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert arith.sieve_primes.cache_info().currsize == cached
 
 
 def test_density_empty_populations_pass():
