@@ -213,9 +213,8 @@ def factor_squarefree(n: int) -> SquarefreeInteger:
     return SquarefreeInteger(n, sign, has_two, has_three, tuple(primes))
 
 
-def squarefree_walk(limit: int):
-    """Yield (m, odd) for every squarefree 1 <= m <= limit, ascending, where
-    odd are the odd primes of m, 3 included, ascending.
+def factor_range(limit: int):
+    """Yield SquarefreeInteger(m) for every squarefree 1 <= m <= limit, ascending.
 
     One smallest-prime-factor sieve serves the whole range, so a scan
     factors each m exactly once.  A limit below 1 yields nothing.
@@ -237,14 +236,8 @@ def squarefree_walk(limit: int):
             p = spf[k]
             odd.append(p)
             k //= p
-        yield m, tuple(odd)
-
-
-def factor_range(limit: int):
-    """Yield SquarefreeInteger(m) for every squarefree 1 <= m <= limit, ascending."""
-    for m, odd in squarefree_walk(limit):
         three = m % 3 == 0
-        yield SquarefreeInteger(m, 1, m % 2 == 0, three, odd[three:])
+        yield SquarefreeInteger(m, 1, m % 2 == 0, three, tuple(odd[three:]))
 
 
 def is_squarefree(n: int) -> bool:

@@ -28,6 +28,7 @@ from . import classgroup, descent, gf2, monsky
 from .arith import (
     OO,
     SquarefreeInteger,
+    ZeroArgument,
     factor_range,
     factor_squarefree,
     factorize,
@@ -54,6 +55,8 @@ KIND_CASSELS = "RankZero_Cassels"
 KIND_THM71 = "CriterionMatch_Thm71"
 KIND_THM72 = "CriterionMatch_Thm72"
 KIND_UNKNOWN = "Unknown"
+# the kinds that certify m non-theta-congruent
+CERTIFYING_KINDS = (KIND_S2EQ2, KIND_CASSELS, KIND_THM71, KIND_THM72)
 
 FAMILY_F19 = "F19"
 FAMILY_F5 = "F5"
@@ -356,8 +359,11 @@ def conic_point(quad: tuple[int, int, int]) -> tuple[int, int, int]:
     squarefree; the first solution of f a^2 + g b^2 = c^2 in the ternary stream
     gives x_i = a w c_k, x_j = b u c_k, x_k = c u w; f = 1 or g = 1 takes
     (1, 0, 1) or (0, 1, 1) without the stream.  Raises Insoluble if the
-    conic has no point over some completion of Q.
+    conic has no point over some completion of Q, ZeroArgument if a
+    coefficient is 0.
     """
+    if 0 in quad:
+        raise ZeroArgument(f"conic coefficients must be nonzero, got {quad}")
     primes = sorted({p for c in quad for p, _ in factorize(abs(c))})
     k = min(range(3), key=lambda x: abs(quad[x]))
     i, j = (x for x in range(3) if x != k)
@@ -466,8 +472,8 @@ def _finite_contribution(curve, lines, bprimes, p: int, rng):
     wit = descent._finite_witness(curve, p)  # one chart search; retries redraw in its ball
     for attempt in range(24):
         r = rng if rng is not None else (random.Random(13 * p + attempt) if attempt else None)
-        pt, valid = descent.find_local_point(curve, p, prec, r, wit)
-        pk = p**valid
+        pt = descent.find_local_point(curve, p, prec, r, wit)
+        pk = p**prec
         vals = []
         ok = True
         for line, bp in zip(lines, bprimes):
@@ -475,7 +481,7 @@ def _finite_contribution(curve, lines, bprimes, p: int, rng):
                 vals.append(None)
                 continue
             x = sum(c * w for c, w in zip(line, pt)) % pk
-            if x == 0 or split_valuation(x, p)[0] + margin + 2 > valid:
+            if x == 0 or split_valuation(x, p)[0] + margin + 2 > prec:
                 ok = False
                 break
             vals.append(x)
@@ -491,7 +497,7 @@ def _finite_contribution(curve, lines, bprimes, p: int, rng):
             term = hilbert_additive(x, bp, p)
             terms.append(term)
             total ^= term
-        return total, {"place": p, "point": list(pt), "prec": valid,
+        return total, {"place": p, "point": list(pt), "prec": prec,
                        "L_values": vals, "terms": terms}
     raise InternalDisagreement(f"could not stabilise L-values at p={p}")
 
@@ -609,22 +615,13 @@ def pairing_f19(n: SquarefreeInteger | int | _Analysis, rng: random.Random | Non
     d_star, x1 = classgroup.splitting_divisor(blocks)
 
     # Lambda0 = (d, 1) must be a Selmer class
-    lam0_vec = encode_pair(d_star, 1, sf)
-    if not mm.matrix.mul_vec(lam0_vec).is_zero():
+    if not monsky.in_selmer(mm, d_star, 1):
         raise InternalDisagreement("(d, 1) is not in the Monsky kernel")
 
     # pick the non-torsion generator Lambda1 and normalise it
     tors = monsky.torsion_vectors(sf)
-    span = [tors[1], tors[2], lam0_vec]
-    kernel = gf2.kernel_basis(mm.matrix)
-    candidates = []
-    for bits in range(1, 1 << len(kernel)):
-        v = BitVector(mm.matrix.ncols, 0)
-        for i, kv in enumerate(kernel):
-            if (bits >> i) & 1:
-                v = v + kv
-        if not gf2.in_row_span(span, v):
-            candidates.append(v)
+    span = [tors[1], tors[2], encode_pair(d_star, 1, sf)]
+    candidates = [v for v in monsky.selmer_vectors(mm) if not gf2.in_row_span(span, v)]
     if not candidates:
         raise InternalDisagreement("kernel has no class outside torsion + (d,1)")
     v = rng.choice(candidates) if rng else min(candidates, key=lambda w: w.bits)
@@ -689,7 +686,7 @@ def pairing_f19(n: SquarefreeInteger | int | _Analysis, rng: random.Random | Non
     curve, lines = _tangents_f19(sf, d_star, sol)
     b1p, b2p = lam1.b1, lam1.b2
     b3p = squarefree_product(b1p, b2p)
-    places = [OO, 2, 3, *sf.odd_primes]
+    places = descent.place_set(sf)
     val_local, transcript = local_pairing_sum(curve, lines, (b1p, b2p, b3p), places, rng)
 
     evidence = {
@@ -760,35 +757,24 @@ def pairing_pq(p: int, q: int, family: str, rng: random.Random | None = None,
     # The printed 3^u / (-1)^u recipes do not always land in Sel_2 (for
     # [-1/p] = 1 the F11 recipe misses), and pairing against a non-Selmer
     # class is not even well defined, so the sign is read off ker M_n.
-    sfn, mm = rec.n, rec.mm
     recipe_b1p = (3**u) * q if family == FAMILY_F5 else (-1) ** u * q
-    b1p = None
-    for cand in (recipe_b1p, q, -q, 3 * q, -3 * q):
-        if mm.matrix.mul_vec(encode_pair(cand, 1, sfn)).is_zero():
-            b1p = cand
-            break
+    shapes = (recipe_b1p, q, -q, 3 * q, -3 * q)
+    b1p = next((b for b in shapes if monsky.in_selmer(rec.mm, b, 1)), None)
     if b1p is None:
         raise InternalDisagreement(f"no Selmer class of shape (3^e q, 1) at n={n}")
-    curve, lines = _tangents_pq(sfn, p, q, sol)
-    lam_vec = encode_pair(1, p, sfn)
-    if not mm.matrix.mul_vec(lam_vec).is_zero():
+    curve, lines = _tangents_pq(rec.n, p, q, sol)
+    if not monsky.in_selmer(rec.mm, 1, p):
         raise InternalDisagreement("(1, p) is not a Selmer class")
     places = [OO, 2, 3, p, q]
     val_local, transcript = local_pairing_sum(curve, lines, (b1p, 1, b1p), places, rng)
-    by_place = {rec["place"]: rec for rec in transcript}
-    q_local = 0
-    for s in by_place[q]["terms"]:
-        q_local ^= s
-    if q_local != q_closed:
+    parity = {place["place"]: sum(place["terms"]) & 1 for place in transcript}
+    if parity[q] != q_closed:
         raise InternalDisagreement(
-            f"q-place contribution {q_local} != [beta*a/q] = {q_closed} at n={n}"
+            f"q-place contribution {parity[q]} != [beta*a/q] = {q_closed} at n={n}"
         )
     for quiet in ("oo", 3, p) if family == FAMILY_F5 else (3, p):
-        tot = 0
-        for s in by_place[quiet]["terms"]:
-            tot ^= s
-        if tot != 0:
-            raise InternalDisagreement(f"place {quiet} contributes {tot} at n={n}")
+        if parity[quiet]:
+            raise InternalDisagreement(f"place {quiet} contributes {parity[quiet]} at n={n}")
     evidence = {
         "n": n,
         "family": family,
@@ -825,7 +811,7 @@ class Certificate:
 
     @property
     def certifies_non_congruent(self) -> bool:
-        return self.kind in (KIND_S2EQ2, KIND_CASSELS, KIND_THM71, KIND_THM72)
+        return self.kind in CERTIFYING_KINDS
 
     def to_json(self) -> str:
         payload = {

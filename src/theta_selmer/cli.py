@@ -80,7 +80,8 @@ def build_parser() -> argparse.ArgumentParser:
     cr.add_argument("--jobs", type=int, default=None)
 
     sc = sub.add_parser("selfcheck", help="erratum probes (informational)")
-    sc.add_argument("--max", type=int, default=3000)
+    sc.add_argument("--max", type=int, default=3000,
+                    help="bound on m for the F19, pq and r8 probes")
     return p
 
 

@@ -504,8 +504,8 @@ def find_local_point(
 ):
     """A point of C_Lambda(Q_p) scaled by b1 b2 to integer coordinates.
 
-    Returns ((T, U1, U2, U3), valid_prec): the coordinates of an actual
-    point, exact mod p^valid_prec with valid_prec >= prec.
+    Returns (T, U1, U2, U3): the coordinates of an actual point, exact
+    mod p^prec.
 
     The point is read off the witness of the chart search behind
     locally_solvable.  On a witness ball, where both forms have a constant
@@ -540,7 +540,7 @@ def find_local_point(
     # b2*u2 = sqrt(F1), b1*u1 = sqrt(F2); scale everything by b1*b2
     b1, b2 = curve.lam.b1, curve.lam.b2
     pk = p**prec
-    return (b1 * b2 * t % pk, b2 * u1s * sgn2 % pk, b1 * u2s * sgn1 % pk, b1 * b2 * u3 % pk), prec
+    return b1 * b2 * t % pk, b2 * u1s * sgn2 % pk, b1 * u2s * sgn1 % pk, b1 * b2 * u3 % pk
 
 
 def find_real_point(curve: QuadricIntersection, rng: random.Random | None = None):

@@ -403,6 +403,20 @@ def selmer_basis(n: SquarefreeInteger | int) -> list[TwoCoverClass]:
     return [decode_vector(v, m.n) for v in gf2.kernel_basis(m.matrix)]
 
 
+def in_selmer(mm: MonskyMatrix, b1: int, b2: int) -> bool:
+    """Whether (b1, b2) lies in ker M_n, i.e. is a 2-Selmer class."""
+    return mm.matrix.mul_vec(encode_pair(b1, b2, mm.n)).is_zero()
+
+
+def selmer_vectors(mm: MonskyMatrix) -> list[BitVector]:
+    """Every vector of ker M_n: the i-th is the sum of the kernel_basis
+    vectors picked by the bits of i, so index 0 is the zero vector."""
+    vectors = [BitVector(mm.matrix.ncols, 0)]
+    for kv in gf2.kernel_basis(mm.matrix):
+        vectors += [v + kv for v in vectors]
+    return vectors
+
+
 _EVEN_PI3 = {1, 2, 3, 5, 7, 9, 14, 15, 19}
 _EVEN_2PI3 = {1, 2, 3, 6, 7, 11, 13, 14, 18}
 

@@ -162,9 +162,9 @@ def run_all(max_n: int = 3000) -> dict:
         "schema": survey.SCHEMA_VERSION,
         "probes": [
             probe_2adic_tables(),
-            probe_f19_routes(max_n=max(max_n, 1500)),
-            probe_pq_criterion(max_n=max(max_n, 1500)),
+            probe_f19_routes(max_n=max_n),
+            probe_pq_criterion(max_n=max_n),
             probe_fk_formula(),
-            probe_r8_oracle(max_n=max(max_n, 1500)),
+            probe_r8_oracle(max_n=max_n),
         ],
     }

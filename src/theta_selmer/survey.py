@@ -164,23 +164,14 @@ def scan_oracle(max_n: int, jobs: int = 1):
 def diagnose_oracle_mismatch(n: int):
     """Which candidate classes the two computations disagree on, and where."""
     sf = factor_squarefree(n)
-    mm = monsky.build_monsky(sf)
+    kernel = {v.bits for v in monsky.selmer_vectors(monsky.build_monsky(sf))}
     _, vectors = descent.selmer_group_oracle(sf, check_closure=False)
-    oracle_bits = {v.bits for v in vectors}
     out = []
-    dim = 2 * sf.t + 6
-    for bits in range(1 << dim):
-        v = gf2.BitVector(dim, bits)
-        in_kernel = mm.matrix.mul_vec(v).is_zero()
-        if in_kernel == (bits in oracle_bits):
-            continue
-        lam = monsky.decode_vector(v, sf)
+    for bits in sorted(kernel ^ {v.bits for v in vectors}):
+        lam = monsky.decode_vector(gf2.BitVector(2 * sf.t + 6, bits), sf)
         curve = descent.curve_for(sf, lam)
-        places = [
-            (str(pl), descent.locally_solvable(curve, pl))
-            for pl in descent.place_set(sf)
-        ]
-        out.append({"lambda": [lam.b1, lam.b2], "in_kernel": in_kernel,
+        places = [(str(pl), descent.locally_solvable(curve, pl)) for pl in descent.place_set(sf)]
+        out.append({"lambda": [lam.b1, lam.b2], "in_kernel": bits in kernel,
                     "local_solvability": places})
     return out
 
@@ -322,8 +313,7 @@ def scan_certification(family: str, max_n: int, jobs: int = 1) -> DensityReport:
         counts[kind] = counts.get(kind, 0) + 1
     size = len(items)
     if member:
-        certified = sum(counts.get(k, 0) for k in (
-            cassels.KIND_S2EQ2, cassels.KIND_CASSELS, cassels.KIND_THM71))
+        certified = sum(counts.get(k, 0) for k in cassels.CERTIFYING_KINDS)
         frac = certified / size if size else None
         return DensityReport(
             population=f"pq = {cassels.FAMILY_CLASS[member][1]} mod 24, pq <= {max_n}",

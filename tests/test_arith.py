@@ -24,7 +24,6 @@ from theta_selmer.arith import (
     split_valuation,
     sqrt_mod,
     sqrt_mod_prime_power,
-    squarefree_walk,
 )
 
 PRIMES_1K = sieve_primes(1000)
@@ -60,13 +59,16 @@ def test_factor_range_matches_factor_squarefree():
 
 
 def test_squarefree_walk_matches_factor_squarefree():
-    # the walk yields m with its odd primes, 3 included, ascending; factor_range
-    # is the walk with 3 split off
+    # the sieve walk in factor_range yields m with its odd primes, 3 included,
+    # ascending, then splits 3 off; check the walk at the edge limits too
     for limit in (0, 1, 2, 3000):
         want = [factor_squarefree(m) for m in range(1, limit + 1) if is_squarefree(m)]
-        walk = list(squarefree_walk(limit))
-        assert walk == [(sf.value, (3,) * sf.has_three + sf.odd_primes) for sf in want]
-        assert list(factor_range(limit)) == want
+        got = list(factor_range(limit))
+        assert got == want
+        odd = sieve_primes(3000)[1:]
+        assert [(sf.value, (3,) * sf.has_three + sf.odd_primes) for sf in got] == [
+            (sf.value, tuple(p for p in odd if sf.value % p == 0)) for sf in want
+        ]
 
 
 def test_primes_up_to_matches_is_prime():

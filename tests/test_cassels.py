@@ -677,3 +677,21 @@ def test_conic_point_with_a_zero_coordinate():
     assert _on_conic(quad, pt) and math.gcd(*pt) == 1 and 0 in pt
     assert cassels.conic_point((256446233, 383265919, -1)) == (2101, 3668, 79300383)
     assert cassels.conic_point((19501, 1, -19501)) == (1, 0, 1)
+
+
+def test_conic_point_rejects_a_zero_coefficient():
+    # a zero coefficient once made the square stripping loop forever, so a
+    # child with a timeout runs the calls and a regression fails, not hangs
+    code = (
+        "from theta_selmer import arith, cassels\n"
+        "for quad in ((0, 2, -8), (3, 0, -12)):\n"
+        "    try:\n"
+        "        print('returned', cassels.conic_point(quad))\n"
+        "    except arith.ZeroArgument:\n"
+        "        print('ZeroArgument')\n"
+    )
+    src = str(pathlib.Path(cassels.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=30, env={**os.environ, "PYTHONPATH": path})
+    assert proc.stdout.splitlines() == ["ZeroArgument", "ZeroArgument"], proc.stderr

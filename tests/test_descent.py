@@ -296,9 +296,7 @@ def test_find_local_point_on_curve():
     for n, lam, places in LOCAL_POINT_CASES:
         curve = curve_for(factor_squarefree(n), lam)
         for p in places:
-            point, prec = find_local_point(curve, p, 20)
-            assert prec >= 20
-            _assert_on_curve(curve, point, p, prec)
+            _assert_on_curve(curve, find_local_point(curve, p, 20), p, 20)
 
 
 def test_find_local_point_randomised_still_on_curve():
@@ -307,8 +305,7 @@ def test_find_local_point_randomised_still_on_curve():
         curve = curve_for(factor_squarefree(n), lam)
         for p in places:
             for _ in range(3):
-                point, prec = find_local_point(curve, p, 16, rng)
-                _assert_on_curve(curve, point, p, prec)
+                _assert_on_curve(curve, find_local_point(curve, p, 16, rng), p, 16)
 
 
 def test_chart_search_visits_the_root_balls_first(monkeypatch):

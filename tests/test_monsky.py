@@ -18,10 +18,12 @@ from theta_selmer.monsky import (
     build_monsky,
     decode_vector,
     encode_pair,
+    in_selmer,
     predicted_parity,
     selmer_basis,
     selmer_rank,
     select_template,
+    selmer_vectors,
     torsion_vectors,
 )
 
@@ -291,3 +293,25 @@ def test_select_template_every_cell():
         sf = factor_squarefree(eta * {1: 17, 3: 11, 5: 5, 7: 7}[cls])
         assert (sf.eta, sf.ntilde % 8) == (eta, cls)
         assert select_template(sf) == template, (eta, cls)
+
+
+def test_selmer_vectors_walk_the_kernel_in_basis_bit_order():
+    # |n| <= 200 has t <= 2, so brute force over all 2^(2t+6) <= 1,024 vectors
+    for n in (s * m for m in range(1, 201) if is_squarefree(m) for s in (1, -1)):
+        mm = build_monsky(n)
+        dim = mm.matrix.ncols
+        kernel = {bits for bits in range(1 << dim)
+                  if mm.matrix.mul_vec(BitVector(dim, bits)).is_zero()}
+        vectors = selmer_vectors(mm)
+        assert len({v.bits for v in vectors}) == len(vectors) == 1 << selmer_rank(mm), n
+        assert {v.bits for v in vectors} == kernel, n
+        basis = gf2.kernel_basis(mm.matrix)
+        for i, v in enumerate(vectors):
+            want = 0
+            for j, kv in enumerate(basis):
+                if i >> j & 1:
+                    want ^= kv.bits
+            assert v == BitVector(dim, want), (n, i)
+        for bits in range(1 << dim):
+            lam = decode_vector(BitVector(dim, bits), mm.n)
+            assert in_selmer(mm, lam.b1, lam.b2) == (bits in kernel), (n, bits)

@@ -9,7 +9,7 @@ import json
 import subprocess
 import sys
 
-from theta_selmer import survey
+from theta_selmer import selfcheck, survey
 
 
 def sha256(text: str) -> str:
@@ -33,3 +33,10 @@ def test_scan_certification_unchanged():
         for family in ("f5", "f11", "cor15", "cor16")
     )
     assert sha256(out) == "a9a1a653f1e9420fd6698b5296f07e060b19290ec08464b07c03a84d6876d855"
+
+
+def test_selfcheck_max_bounds_the_family_probes():
+    # 259 = 7 * 37 is the only F19 member up to 300
+    small = selfcheck.run_all(max_n=300)
+    assert small["probes"][1]["instances"] == [259]
+    assert json.dumps(small, sort_keys=True) != json.dumps(selfcheck.run_all(1500), sort_keys=True)
