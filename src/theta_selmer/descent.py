@@ -15,10 +15,10 @@ makes the two binary forms
     F2 = b1 e2 t^2       + b1^2 b2 u3^2      (= (b1 u1)^2 on the curve)
 
 simultaneously squares (or zero) in Q_p.  That one-dimensional search is
-decided rigorously: a residue class either determines the square classes
-of both forms, or it is refined, and classes clinging to a p-adic root
-of a form are settled by computing the root itself.  Any residual
-ambiguity raises Undecided loudly instead of guessing.
+decided rigorously: one value bound either fixes the square classes of
+both forms on a residue class, or the class holds a p-adic root of one
+form deep enough to fix the other's class there, or it is refined.  Any
+residual ambiguity raises Undecided loudly instead of guessing.
 
 The answer at a place v depends only on the classes of n, b1 and b2 in
 Q_v^*/Q_v^*2: replacing b1 by b1 s^2 maps a point to one with u1, u3
@@ -147,7 +147,7 @@ _SQUARE, _NONSQUARE, _ZERO, _UNKNOWN = range(4)
 
 def _status(c: int, d: int, tau0: int, k: int, p: int, margin: int) -> int:
     """Square class of c*tau^2 + d on the residue class tau0 + p^k Z_p,
-    by the generic value bound alone (cheap fast path)."""
+    by the generic value bound alone: the one test of a ball."""
     w = c * tau0 * tau0 + d
     if w == 0:
         return _ZERO
@@ -178,60 +178,47 @@ def _zp_roots(c: int, d: int, p: int, prec: int) -> list[int]:
     return [rho, (-rho) % pk]
 
 
-class _FormRoots:
-    """Z_p roots of one binary form f = c tau^2 + d, qualified against the
-    other form: for each root rho we record whether the other form is a
-    square (or zero) at rho, and from which depth onward that verdict is
-    stable on the ball rho + p^k Z_p."""
-
-    def __init__(self, cs, ds, co, do, p, prec, place):
-        self.p = p
-        self.prec = prec
-        self.cs = cs
-        self.items: list[tuple[int, bool, int]] = []  # (rho, good, stable_at)
-        pk = p**prec
-        for rho in _zp_roots(cs, ds, p, prec):
-            val = (co * rho * rho + do) % pk
-            if val == 0:
-                if cs * do == co * ds:  # proportional forms: common root
-                    self.items.append((rho, True, 0))
-                    continue
-                raise Undecided(place, prec)
-            v, u = split_valuation(val, p)
-            margin = 3 if p == 2 else 1
-            if v + margin > prec:
-                raise Undecided(place, prec)
-            self.items.append((rho, v % 2 == 0 and _is_qr(u, p), v + margin))
-
-    def status_on(self, tau0: int, k: int, margin: int):
-        """(kind, payload): ('root', (rho, good, stable_at)) if a root lies
-        in the ball, ('class', SQUARE/NONSQUARE) if the factorised value
-        class is constant there, or ('unknown', None)."""
-        p = self.p
-        pk = p**k
-        for rho, good, stable in self.items:
-            if (rho - tau0) % pk == 0:
-                return "root", (rho, good, stable)
-        if not self.items:
-            return "unknown", None
-        rho = self.items[0][0]
-        e1, u1 = split_valuation(tau0 - rho, p)
-        e2, u2 = split_valuation(tau0 + rho, p)
-        if k - e1 < margin or k - e2 < margin or max(e1, e2) + margin > self.prec:
-            return "unknown", None
-        vcs, ucs = split_valuation(self.cs, p)
-        square = (vcs + e1 + e2) % 2 == 0 and _is_qr(ucs * u1 * u2, p)
-        return "class", _SQUARE if square else _NONSQUARE
+def _roots(cs, ds, co, do, p: int, prec: int, margin: int) -> list[tuple[int, int]]:
+    """(rho, stable_at) for each Z_p root rho of cs tau^2 + ds, where the
+    other form co tau^2 + do has a constant class on rho + p^k Z_p for every
+    k >= stable_at, the class _status gives that ball."""
+    out = []
+    for rho in _zp_roots(cs, ds, p, prec):
+        # the forms share no root: cs do = co ds only at n = 0, in either
+        # chart, so a zero here is lost precision
+        val = (co * rho * rho + do) % p**prec
+        v = split_valuation(val, p)[0] if val else prec
+        if v + margin > prec:
+            raise Undecided(p, prec)
+        out.append((rho, v + margin))
+    return out
 
 
-def _children(tau0: int, k: int, p: int, first: list[int]):
-    """The p balls tau0 + j p^k + p^(k+1) Z_p, lazily, digits in first leading."""
+def _point_digits(c: int, d: int, tau0: int, k: int, p: int, root_digits: set[int]):
+    """At an odd p, the digits j of the children tau0 + j p^k + p^(k+1) Z_p
+    where c tau^2 + d can be a square, or None for all of them.  On the ball
+    the form is p^v g(x) at tau0 + p^k x, g primitive, and a child j with
+    g(j) != 0 mod p has the class of p^v g(j).  So for v odd only the roots
+    of g mod p are left: a double root r, or simple roots, which lift by
+    Hensel into root_digits (those of the form's Z_p roots); and for
+    g = a (x - r)^2 with a a nonresidue only r."""
     step = p**k
-    for j in chain(first, (j for j in range(p) if j not in first)):
+    coeffs = (c * tau0 * tau0 + d, 2 * c * tau0 * step, c * step * step)
+    v = min(split_valuation(a, p)[0] for a in coeffs if a)
+    g0, g1, g2 = (a // p**v % p for a in coeffs)
+    if g2 and (g1 * g1 - 4 * g0 * g2) % p == 0:  # g = g2 (x - r)^2 mod p
+        return {-g1 * pow(2 * g2, -1, p) % p} if v % 2 or not _is_qr(g2, p) else None
+    return root_digits if v % 2 else None
+
+
+def _children(tau0: int, k: int, p: int, digits):
+    """The balls tau0 + j p^k + p^(k+1) Z_p for j in digits, lazily."""
+    step = p**k
+    for j in digits:
         yield tau0 + j * step, k + 1
 
 
-def _chart_point(c1, d1, c2, d2, p: int, seed_k: int, place):
+def _chart_point(c1, d1, c2, d2, p: int, seed_k: int):
     """A witness that both forms are squares-or-zero somewhere on p^seed_k Z_p,
     or None.
 
@@ -243,8 +230,10 @@ def _chart_point(c1, d1, c2, d2, p: int, seed_k: int, place):
         form is a square or zero.
 
     Deterministic depth-first refinement over lazily generated child balls,
-    those holding a root of a form first; residue classes that the generic
-    value bound cannot settle are decided through the p-adic roots.
+    those holding a root of a form first.  _status, the value bound, is the
+    one test of a ball; a ball it leaves open is a root witness if it holds
+    a root of an open form at k >= stable_at, and is split otherwise (at
+    an odd p, into the children _point_digits leaves, not all p of them).
     """
     margin = 3 if p == 2 else 1
     prec = split_valuation(4 * c1 * d1 * c2 * d2, p)[0] + 8 * margin + 40
@@ -263,42 +252,38 @@ def _chart_point(c1, d1, c2, d2, p: int, seed_k: int, place):
         s2 = _status(c2, d2, tau0, k, p, margin)
         if s2 == _NONSQUARE:
             continue
-        if _ZERO in (s1, s2):
-            w1 = c1 * tau0 * tau0 + d1
-            w2 = c2 * tau0 * tau0 + d2
-            if is_square_in_qp(w1, p) and is_square_in_qp(w2, p):
-                return tau0, None, None
+        if _ZERO in (s1, s2) and is_square_in_qp(c1 * tau0 * tau0 + d1, p) \
+                and is_square_in_qp(c2 * tau0 * tau0 + d2, p):
+            return tau0, None, None
         if s1 == _SQUARE and s2 == _SQUARE:
             return tau0, k, None
-        # at least one form is unresolved on this ball: consult its roots
+        # An open form is read through its roots in the ball alone: off them
+        # v(f(tau0)) = v(c) + v(tau0 - rho) + v(tau0 + rho), and a class that
+        # this fixes on the ball is one _status's own bound has already fixed.
         if roots is None:
-            roots = (_FormRoots(c1, d1, c2, d2, p, prec, place),
-                     _FormRoots(c2, d2, c1, d1, p, prec, place))
-        unresolved = False
-        for i, s in enumerate((s1, s2)):
-            if s == _SQUARE:
-                continue
-            kind, payload = roots[i].status_on(tau0, k, margin)
-            if kind == "class":
-                if payload == _NONSQUARE:
-                    break
-                continue
-            if kind == "root":
-                _rho, good, stable = payload
-                if k >= stable:
-                    if good:
-                        return tau0, k, i
-                    break  # nonsquare in a whole neighbourhood
-            unresolved = True
-        else:
-            if not unresolved:
-                return tau0, k, None
-            if k >= max_depth:
-                raise Undecided(place, k)
-            step = p**k
-            near = sorted({(rho - tau0) // step % p for rts in roots
-                           for rho, _, _ in rts.items if (rho - tau0) % step == 0})
-            stack.append(_children(tau0, k, p, near))
+            roots = (_roots(c1, d1, c2, d2, p, prec, margin),
+                     _roots(c2, d2, c1, d1, p, prec, margin))
+        step = p**k
+        near, only = set(), None
+        for i, (c, d, s) in enumerate(((c1, d1, s1), (c2, d2, s2))):
+            here = [(rho, st) for rho, st in roots[i] if (rho - tau0) % step == 0]
+            # from stable_at on, _status has settled the other form with its
+            # class at the root, a nonsquare skipped the ball, and so a root
+            # in the ball is a witness; of two roots only the first is read
+            if s != _SQUARE and here and k >= here[0][1]:
+                return tau0, k, i
+            digits = {(rho - tau0) // step % p for rho, _ in here}
+            near |= digits
+            if p > 2 and s != _SQUARE:
+                keep = _point_digits(c, d, tau0, k, p, digits)
+                if keep is not None:
+                    only = keep if only is None else only & keep
+        # an open form not settled by a root leaves the ball open: split it
+        if k >= max_depth:
+            raise Undecided(p, k)
+        digits = (chain(sorted(near), (j for j in range(p) if j not in near)) if only is None
+                  else sorted(near & only) + sorted(only - near))
+        stack.append(_children(tau0, k, p, digits))
     return None
 
 
@@ -310,10 +295,10 @@ def _finite_witness(curve: QuadricIntersection, p: int):
     """
     c1, d1 = curve.f1
     c2, d2 = curve.f2
-    wit = _chart_point(c1, d1, c2, d2, p, 0, p)
+    wit = _chart_point(c1, d1, c2, d2, p, 0)
     if wit is not None:
         return False, wit
-    wit = _chart_point(d1, c1, d2, c2, p, 1, p)
+    wit = _chart_point(d1, c1, d2, c2, p, 1)
     if wit is not None:
         return True, wit
     return None

@@ -425,7 +425,8 @@ def predicted_parity(m: int, theta: str) -> str:
     """Parity of s2(E_{m,theta}) from the residue of m mod 24."""
     if m <= 0:
         raise ValueError("parity table takes the positive tiling number")
-    table = _EVEN_PI3 if theta == THETA_PI3 else _EVEN_2PI3
+    # curve_argument raises ValueError on an unknown theta
+    table = _EVEN_PI3 if curve_argument(m, theta) > 0 else _EVEN_2PI3
     return "even" if m % 24 in table else "odd"
 
 

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import random
 import subprocess
@@ -323,6 +324,68 @@ def test_chart_search_visits_the_root_balls_first(monkeypatch):
     assert locally_solvable(curve_for(-97355, TwoCoverClass(1, 19471)), 19471)
     assert calls < 100, calls
 
+
+def _witness_sample():
+    """(n, b1, b2, p, witness) over 150 seeded n = +-{1, 2, 3, 6} times one
+    to three primes below 4000, six random classes each, every finite place."""
+    rng = random.Random(26)
+    primes = [p for p in sieve_primes(4000) if p > 3]
+    for _ in range(150):
+        m = rng.choice((1, 2, 3, 6)) * math.prod(rng.sample(primes, rng.randint(1, 3)))
+        sf = factor_squarefree(rng.choice((1, -1)) * m)
+        dim = 2 * sf.t + 6
+        for _ in range(6):
+            lam = monsky.decode_vector(BitVector(dim, rng.getrandbits(dim)), sf)
+            curve = curve_for(sf, lam)
+            for p in place_set(sf)[1:]:
+                yield sf.value, lam.b1, lam.b2, p, descent._finite_witness(curve, p)
+
+
+# SHA-256 over repr of each _witness_sample() tuple: 3,678 witnesses, 2,824
+# of them None, 355 root witnesses and 35 zeros of a form
+CHART_WITNESSES = "8fd89ecc1a40c33d789bc861792cc1c48f560bbb586763e5fd03844883e05cc2"
+
+
+def test_chart_witnesses_frozen():
+    h = hashlib.sha256()
+    for rec in _witness_sample():
+        h.update(repr(rec).encode())
+    assert h.hexdigest() == CHART_WITNESSES
+
+
+def test_local_no_costs_few_status_calls(monkeypatch):
+    # every child of Z_p has odd valuation off the roots of F1 here: a walk
+    # of all p children made 1,572,887 status calls
+    calls = 0
+    status = descent._status
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return status(*args)
+
+    monkeypatch.setattr(descent, "_status", counted)
+    p = 1048589
+    assert not locally_solvable(curve_for(p * 524309, TwoCoverClass(1, p)), p)
+    assert calls < 100, calls
+
+
+_LARGE_NO = """
+from theta_selmer.descent import curve_for, locally_solvable
+from theta_selmer.monsky import TwoCoverClass
+p = 2147483693
+print(locally_solvable(curve_for(p * 524309, TwoCoverClass(1, p)), p))
+"""
+
+
+def test_local_no_at_a_31_bit_prime_finishes():
+    # in a child, so that a search over all p children fails on the timeout
+    src = os.path.dirname(os.path.dirname(descent.__file__))
+    proc = subprocess.run([sys.executable, "-c", _LARGE_NO],
+                          env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 def test_witness_balls_hold_square_values():
     # every tau of a witness ball makes both forms squares (or zero)

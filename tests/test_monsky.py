@@ -255,6 +255,12 @@ def test_predicted_parity_examples():
     assert predicted_parity(21, THETA_PI3) == "odd"
 
 
+def test_predicted_parity_rejects_unknown_theta():
+    # "pi/3" is not a theta of the package: it used to get the 2pi/3 answer
+    for theta in ("pi/3", "bogus", ""):
+        with pytest.raises(ValueError, match="unknown theta"):
+            predicted_parity(5, theta)
+
 def test_parity_against_rank_small():
     for m in range(1, 300):
         if not is_squarefree(m):
