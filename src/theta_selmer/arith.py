@@ -329,11 +329,14 @@ def sqrt_mod_prime_power(a: int, p: int, k: int) -> int:
     """A root of x^2 = a mod p^k for a a unit square.
 
     For odd p this is the unique lift of sqrt_mod(a, p), reached by Newton
-    steps that double the precision: p -> ... -> p^ceil(k/2) -> p^k.
+    steps that double the precision: p -> ... -> p^ceil(k/2) -> p^k.  Each
+    step also lifts z = 1/(2x) by z <- z(2 - 2xz), so the only inverse is
+    the one mod p.
     """
     if p == 2:
         return _sqrt_mod_2k(a, k)
     x = sqrt_mod(a, p)
+    z = pow(2 * x, -1, p)
     precs = []
     j = k
     while j > 1:
@@ -341,20 +344,27 @@ def sqrt_mod_prime_power(a: int, p: int, k: int) -> int:
         j = (j + 1) // 2
     for j in reversed(precs):
         pj = p**j
-        # x is a root mod p^ceil(j/2), so one Newton step makes it one mod p^j
-        x = (x - (x * x - a) * pow(2 * x, -1, pj)) % pj
+        # x and z are exact mod p^ceil(j/2), so one step makes both exact mod p^j
+        x = (x - (x * x - a) * z) % pj
+        if j < k:
+            z = z * (2 - 2 * x * z) % pj
     return x % p**k
 
 
 def _sqrt_mod_2k(a: int, k: int) -> int:
-    # requires a = 1 mod 8; lift digit by digit
+    """The root of x^2 = a mod 2^k that is 1 mod 4 and below 2^(k-1), a = 1 mod 8."""
     if a % 8 != 1:
         raise NonResidue(f"{a} is not a 2-adic unit square")
-    x = 1
-    for j in range(3, k):
-        if (x * x - a) % (1 << (j + 1)):
-            x += 1 << (j - 1)
-    return x % (1 << k)
+    if k <= 3:
+        return 1 % (1 << k)
+    a %= 1 << k
+    # Newton on y = 1/sqrt(a): a*y^2 = 1 mod 2^h gives 1 mod 2^(2h-2), and y
+    # stays 1 mod 4, so the root a*y is 1 mod 4 too
+    y, h = 1, 3
+    while h < k:
+        h = min(2 * h - 2, k)
+        y = (y * (3 - a * y * y) >> 1) % (1 << h)
+    return a * y % (1 << (k - 1))
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,6 @@ import json
 import math
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from . import classgroup, descent, gf2, monsky
 from .arith import (
@@ -436,12 +435,32 @@ def _sign_two_radicals(a, b, r2, c, r1):
     return s1 if d > 0 else s2
 
 
+def _real_sign(line, point, b1, b2):
+    """Exact sign of a line at the scaled real point (b1 b2 t, b2 s2 sqrt(r2),
+    b1 s1 sqrt(r1), b1 b2 u3), for a point (t, u3, r1, r2, s1, s2) of
+    find_real_point.
+
+    The value a + b sqrt(r2) + c sqrt(r1) is multiplied by the positive
+    td*ud*r1d*r2d (t = tn/td, u3 = un/ud, r_i = r_in/r_id), which makes a, b
+    and c integers and the radicands r_in*r_id, and keeps its sign.
+    """
+    ct, cu1, cu2, cu3 = line
+    t, u3, r1, r2, s1, s2 = point
+    tn, td = t.numerator, t.denominator
+    un, ud = u3.numerator, u3.denominator
+    r1n, r1d = r1.numerator, r1.denominator
+    r2n, r2d = r2.numerator, r2.denominator
+    tud = td * ud
+    return _sign_two_radicals((ct * tn * ud + cu3 * un * td) * b1 * b2 * r1d * r2d,
+                              cu1 * s2 * b2 * tud * r1d, r2n * r2d,
+                              cu2 * s1 * b1 * tud * r2d, r1n * r1d)
+
+
 def _real_contribution(curve, lines, bprimes, rng):
     """sum_i [L_i(P_oo), b_i']_oo with an exact real point."""
     for attempt in range(24):
         r = rng if rng is not None else (random.Random(11 + attempt) if attempt else None)
-        t, u3, r1, r2, s1, s2 = descent.find_real_point(curve, r)
-        b1, b2 = curve.lam.b1, curve.lam.b2
+        point = descent.find_real_point(curve, r)
         total = 0
         terms = []
         ok = True
@@ -449,12 +468,7 @@ def _real_contribution(curve, lines, bprimes, rng):
             if line is None or bp == 1:
                 terms.append(0)
                 continue
-            ct, cu1, cu2, cu3 = line
-            # scaled point (b1 b2 t, b2 s2 sqrt(r2), b1 s1 sqrt(r1), b1 b2 u3)
-            aa = Fraction(ct) * b1 * b2 * t + Fraction(cu3) * b1 * b2 * u3
-            bb = Fraction(cu1) * b2 * s2
-            cc = Fraction(cu2) * b1 * s1
-            sgn = _sign_two_radicals(aa, bb, r2, cc, r1)
+            sgn = _real_sign(line, point, curve.lam.b1, curve.lam.b2)
             if sgn == 0:
                 ok = False
                 break
@@ -462,7 +476,8 @@ def _real_contribution(curve, lines, bprimes, rng):
             terms.append(term)
             total ^= term
         if ok:
-            return total, {"place": "oo", "point": [str(t), str(u3)], "terms": terms}
+            return total, {"place": "oo", "point": [str(point[0]), str(point[1])],
+                           "terms": terms}
     raise InternalDisagreement("no usable real point (all hit a tangent line)")
 
 

@@ -173,11 +173,14 @@ def main(argv=None) -> int:
         parser.error(f"n must be a positive integer, got {args.n}")
     if getattr(args, "max", 0) < 0:
         parser.error(f"--max must be non-negative, got {args.max}")
-    if getattr(args, "jobs", 1) is None:
+    jobs = getattr(args, "jobs", 1)
+    if jobs is None:
         try:
             args.jobs = survey.default_jobs()
         except ValueError as exc:
             parser.error(f"THETA_SELMER_JOBS: {exc}")
+    elif jobs < 1:
+        parser.error(f"--jobs must be at least 1, got {jobs}")
     handlers = {
         "analyze": cmd_analyze,
         "certify": cmd_certify,

@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 from collections import Counter
 
 import pytest
@@ -167,6 +168,47 @@ def test_sqrt_mod_prime_power_lifts_sqrt_mod(p, x, k):
     assert r * r % pk == a % pk
     assert 0 <= r < pk
     assert r % p == sqrt_mod(a, p)
+
+
+@pytest.mark.parametrize("p", [3, 5, 997, 1000003])
+def test_sqrt_mod_prime_power_at_large_precision(p):
+    # _finite_contribution doubles its precision up to 4096, and padic_sqrt
+    # asks for 4 digits more; the lift must stay the one of sqrt_mod
+    rng = random.Random(28 + p)
+    for k in (127, 128, 129, 1025, 4096, 4100):
+        pk = p**k
+        x = rng.randrange(1, pk)
+        if x % p == 0:
+            x += 1
+        a = x * x % pk
+        r = sqrt_mod_prime_power(a, p, k)
+        assert r * r % pk == a
+        assert 0 <= r < pk
+        assert r % p == sqrt_mod(a, p)
+
+
+def _sqrt_mod_2k_by_digits(a, k):
+    # the digit-by-digit lift that _sqrt_mod_2k's Newton steps replaced:
+    # the root that is 1 mod 4 and below 2^(k-1)
+    x = 1
+    for j in range(3, k):
+        if (x * x - a) % (1 << (j + 1)):
+            x += 1 << (j - 1)
+    return x % (1 << k)
+
+
+def test_sqrt_mod_2k_matches_the_digit_lift():
+    for a in range(1, 1 << 12, 8):
+        for k in range(13):
+            assert arith._sqrt_mod_2k(a, k) == _sqrt_mod_2k_by_digits(a, k), (a, k)
+    rng = random.Random(28)
+    for k in [13, 56, 57, 1024, 4096, 4100] + [rng.randrange(13, 4101) for _ in range(10)]:
+        for a in (8 * rng.randrange(1 << k) + 1, -8 * rng.randrange(1 << k) + 1):
+            r = arith._sqrt_mod_2k(a, k)
+            assert r == _sqrt_mod_2k_by_digits(a, k), (a, k)
+            assert (r * r - a) % (1 << k) == 0 and r % 4 == 1 and r < 1 << (k - 1)
+    with pytest.raises(NonResidue):
+        arith._sqrt_mod_2k(5, 20)
 
 
 def test_hilbert_examples():

@@ -9,6 +9,8 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from collections import Counter
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -389,6 +391,99 @@ def test_families_projection_unchanged():
             )
         h.update(repr((m, theta, cert.kind, cert.s2, local_sum, places)).encode())
     assert h.hexdigest() == FAMILIES_PROJECTION
+
+
+# SHA-256 over certify(m, theta).to_json() + "\n" for the 744 inputs of the
+# families scan in [9e4, 1e5), in order: the whole certificates, transcripts
+# included, so a cheaper local term must give the same points and values.
+FAMILIES_CERTIFICATES = "d636fc4d0742dabe1b9fe511b0acc3dcb91131b8d1e7b4c28a88a50846ae5aa0"
+
+
+def test_families_certificates_unchanged():
+    inputs = []
+    for sf in factor_range(99999):
+        m = sf.value
+        if m < 90000:
+            continue
+        if m % 24 == 5 and sf.t == 2:
+            inputs.append((m, "pi3"))
+        elif m % 24 == 11 and sf.t == 2:
+            inputs.append((m, "2pi3"))
+        elif m % 24 == 19:
+            inputs.append((m, "pi3"))
+    assert len(inputs) == 744
+    h = hashlib.sha256()
+    for m, theta in inputs:
+        h.update((certify(m, theta).to_json() + "\n").encode())
+    assert h.hexdigest() == FAMILIES_CERTIFICATES
+
+
+def _fraction_sign(line, point, b1, b2, sign):
+    # the real-place sign as computed in Fractions before the integer scaling
+    ct, cu1, cu2, cu3 = line
+    t, u3, r1, r2, s1, s2 = point
+    aa = Fraction(ct) * b1 * b2 * t + Fraction(cu3) * b1 * b2 * u3
+    bb = Fraction(cu1) * b2 * s2
+    cc = Fraction(cu2) * b1 * s1
+    return sign(aa, bb, r2, cc, r1)
+
+
+def test_real_sign_of_the_scaled_integers_is_the_fraction_sign(monkeypatch):
+    rng = random.Random(28)
+    sign = cassels._sign_two_radicals
+    args_seen = []
+
+    def recording(*args):
+        args_seen.append(args)
+        return sign(*args)
+
+    monkeypatch.setattr(cassels, "_sign_two_radicals", recording)
+
+    def frac(top):
+        return Fraction(rng.randrange(-top, top + 1), rng.randrange(1, 1000))
+
+    def unit():
+        return rng.choice((1, -1))
+
+    cases = []
+    for _ in range(3000):
+        point = (frac(10**6), frac(100) or Fraction(1), abs(frac(10**6)), abs(frac(10**6)),
+                 unit(), unit())
+        line = tuple(rng.randrange(-10**4, 10**4) for _ in range(4))
+        b1, b2 = unit() * rng.randrange(1, 200), unit() * rng.randrange(1, 200)
+        cases.append((line, point, b1, b2))
+    zeros = []
+    for _ in range(300):
+        t, u3 = frac(10**3), frac(100) or Fraction(3, 7)
+        w = abs(frac(10**3)) or Fraction(5, 2)
+        s1, s2 = unit(), unit()
+        b1, b2 = unit() * rng.randrange(1, 200), unit() * rng.randrange(1, 200)
+        k = rng.randrange(1, 50)
+        r = abs(frac(10**4)) or Fraction(2)
+        # a + b sqrt(r2) = 0 with r2 = w^2: cu1 = b1 k, ct t + cu3 u3 = -k s2 w
+        zeros.append(((0, b1 * k, 0, 1), (t, -k * s2 * w, r, w * w, s1, s2), b1, b2))
+        # b sqrt(r) + c sqrt(r) = 0 with a = 0: a cancelling pair of radicals
+        zeros.append(((0, b1 * s1 * k, -b2 * s2 * k, 0), (t, u3, r, r, s1, s2), b1, b2))
+        # a + c sqrt(r1) = 0 with r1 = w^2 and b sqrt(r2) = 0
+        zeros.append(((1, 0, b2 * k, 0), (-k * s1 * w, u3, w * w, r, s1, s2), b1, b2))
+    for line, point, b1, b2 in zeros:
+        cases.append((line, point, b1, b2))
+        # one step off each zero: the cancelling terms no longer cancel
+        for i in range(4):
+            for d in (1, -1):
+                nudged = tuple(c + d * (j == i) for j, c in enumerate(line))
+                cases.append((nudged, point, b1, b2))
+    signs = Counter()
+    for line, point, b1, b2 in cases:
+        want = _fraction_sign(line, point, b1, b2, sign)
+        assert cassels._real_sign(line, point, b1, b2) == want, (line, point, b1, b2)
+        signs[want] += 1
+    for line, point, b1, b2 in zeros:
+        assert cassels._real_sign(line, point, b1, b2) == 0
+    assert signs[0] >= len(zeros) and signs[1] > 1000 and signs[-1] > 1000
+    # the sign is taken on integers: the terms and the radicands
+    assert len(args_seen) == len(cases) + len(zeros)
+    assert all(type(v) is int for args in args_seen for v in args)
 
 
 # one input per branch of certify, from the families range [9e4, 1e5)

@@ -425,6 +425,16 @@ def test_cli_certify_rate_bad_jobs_exit_64():
     assert "THETA_SELMER_JOBS" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+@pytest.mark.parametrize("command", ["survey", "verify-parity", "verify-oracle", "certify-rate"])
+def test_cli_jobs_below_1_exit_64(capsys, command, jobs):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--max", "10", "--jobs", jobs])
+    assert exc.value.code == cli.EX_USAGE == 64
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: --jobs must be at least 1, got {jobs}\n"
+
+
 def test_readme_cli_block_names_every_subcommand():
     readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = readme.split("\n## CLI\n", 1)[1].split("```")[1]
